@@ -6,19 +6,7 @@ bounds with tightness reports, and exhaustive / randomized verification
 searches, plus a graph6-speaking CLI.
 """
 
-from .bounds import (
-    BoundReport,
-    bound_cartesian,
-    bound_corona,
-    bound_direct,
-    bound_disjunction,
-    bound_join,
-    bound_lexicographic,
-    bound_strong,
-    bound_symdiff,
-    bound_theorem1,
-    evaluate_bound,
-)
+from .bounds import BoundReport, bound_theorem1, evaluate_bound
 from .errors import (
     ConvergenceError,
     EdgeListParseError,
@@ -60,6 +48,7 @@ from .products import (
     disjunction,
     join,
     lexicographic,
+    product_degrees,
     strong,
     symmetric_difference,
 )

@@ -1,20 +1,29 @@
 """Closed-form upper bounds on the total irregularity of composed graphs,
 plus the parity-dispatched global maximum for a single graph.
 
-Every evaluator builds the actual composite via the products module, so a
-BoundReport always compares the formula against a real adjacency-derived
-value.  A negative slack on a hypothesis-satisfying pair would falsify a
-published theorem and raises FalsificationError.
+Each bound depends only on (n, m, irr_t) of the operands, and each
+composite's degree sequence follows from the operands' degrees
+(products.product_degrees), so a BoundReport compares the formula against
+the composite's exact total irregularity without building its adjacency.
+BoundScan runs that check over a sequence of operand pairs.  A negative
+slack on a hypothesis-satisfying pair would falsify a published theorem
+and raises FalsificationError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Tuple
 
 from .errors import FalsificationError, InputError
+from .formats import emit_graph6
 from .graph import Graph, is_connected
-from .indices import graph_total_irregularity
-from .products import ProductKind, apply_product
+from .indices import graph_total_irregularity, total_irregularity
+
+# apply_product is not called here; perfbench/tracing.py wraps the name
+# totirr.bounds.apply_product, so it stays importable from this module
+from .products import ProductKind, apply_product, product_degrees  # noqa: F401
 
 
 def bound_theorem1(n: int) -> int:
@@ -90,68 +99,78 @@ def _hypothesis_ok(kind: ProductKind, g: Graph, h: Graph) -> bool:
     return True
 
 
+@dataclass
+class BoundScan:
+    """One kind's bound checked over a sequence of operand pairs.
+
+    `check` evaluates one pair.  Pairs whose hypotheses hold are counted
+    in `checked` and enter the extrema: the minimum slack, and the maximum
+    actual/bound ratio over positive bounds.  Each extremum keeps the
+    first pair attaining it, so a scan in pair-index order keeps the
+    lowest index on ties.
+    """
+
+    kind: ProductKind
+    checked: int = 0
+    min_slack: Optional[int] = None
+    slack_pair: Optional[Tuple[Graph, Graph]] = None
+    max_ratio: Optional[Fraction] = None
+    ratio_pair: Optional[Tuple[Graph, Graph]] = None
+
+    def check(self, g: Graph, tg: int, h: Graph, th: int) -> BoundReport:
+        """Compare the bound on (g, h), whose total irregularities are tg
+        and th, against the composite's exact total irregularity.
+
+        Raises FalsificationError, naming both operands, when the bound
+        is violated on a pair whose hypotheses hold.
+        """
+        kind = self.kind
+        actual = total_irregularity(product_degrees(kind, g.degrees(), h.degrees()))
+        bound = _bound_formula(kind, g.n, g.m, h.n, h.m, tg, th)
+        report = BoundReport(
+            kind=kind,
+            n1=g.n,
+            m1=g.m,
+            n2=h.n,
+            m2=h.m,
+            irr_t_g=tg,
+            irr_t_h=th,
+            actual=actual,
+            bound=bound,
+            hypothesis_ok=_hypothesis_ok(kind, g, h),
+        )
+        if not report.hypothesis_ok:
+            return report
+        if report.slack < 0:
+            raise FalsificationError(
+                f"{kind.value} bound violated: actual={actual} > bound={bound} "
+                f"on g={emit_graph6(g)} (n1={g.n}, m1={g.m}), "
+                f"h={emit_graph6(h)} (n2={h.n}, m2={h.m})"
+            )
+        self.checked += 1
+        pair = (g, h)
+        self._keep(report.slack, pair, Fraction(actual, bound) if bound > 0 else None, pair)
+        return report
+
+    def merge(self, later: BoundScan) -> None:
+        """Fold in the scan of the pairs that come after this scan's."""
+        self.checked += later.checked
+        self._keep(later.min_slack, later.slack_pair, later.max_ratio, later.ratio_pair)
+
+    def _keep(self, slack, slack_pair, ratio, ratio_pair) -> None:
+        if slack is not None and (self.min_slack is None or slack < self.min_slack):
+            self.min_slack, self.slack_pair = slack, slack_pair
+        if ratio is not None and (self.max_ratio is None or ratio > self.max_ratio):
+            self.max_ratio, self.ratio_pair = ratio, ratio_pair
+
+
 def evaluate_bound(kind: ProductKind, g: Graph, h: Graph) -> BoundReport:
-    """Evaluate the theorem bound for `kind` on (g, h) and compare against
-    the explicitly constructed composite.
+    """Evaluate the theorem bound for `kind` on (g, h) and compare it
+    against the composite's exact total irregularity.
 
     The formula is always evaluated; hypothesis_ok records whether the
     theorem's hypotheses hold (see _hypothesis_ok).  A violated bound
-    under a satisfied hypothesis is a hard failure.
+    under a satisfied hypothesis raises FalsificationError.
     """
-    kind = ProductKind(kind)
-    tg = graph_total_irregularity(g)
-    th = graph_total_irregularity(h)
-    composite = apply_product(kind, g, h)
-    actual = graph_total_irregularity(composite)
-    bound = _bound_formula(kind, g.n, g.m, h.n, h.m, tg, th)
-    hypothesis_ok = _hypothesis_ok(kind, g, h)
-    report = BoundReport(
-        kind=kind,
-        n1=g.n,
-        m1=g.m,
-        n2=h.n,
-        m2=h.m,
-        irr_t_g=tg,
-        irr_t_h=th,
-        actual=actual,
-        bound=bound,
-        hypothesis_ok=hypothesis_ok,
-    )
-    if hypothesis_ok and report.slack < 0:
-        raise FalsificationError(
-            f"{kind.value} bound violated: actual={actual} > bound={bound} "
-            f"on operands n1={g.n}, m1={g.m}, n2={h.n}, m2={h.m}"
-        )
-    return report
-
-
-def bound_join(g: Graph, h: Graph) -> BoundReport:
-    return evaluate_bound(ProductKind.JOIN, g, h)
-
-
-def bound_lexicographic(g: Graph, h: Graph) -> BoundReport:
-    return evaluate_bound(ProductKind.LEXICOGRAPHIC, g, h)
-
-
-def bound_cartesian(g: Graph, h: Graph) -> BoundReport:
-    return evaluate_bound(ProductKind.CARTESIAN, g, h)
-
-
-def bound_strong(g: Graph, h: Graph) -> BoundReport:
-    return evaluate_bound(ProductKind.STRONG, g, h)
-
-
-def bound_direct(g: Graph, h: Graph) -> BoundReport:
-    return evaluate_bound(ProductKind.DIRECT, g, h)
-
-
-def bound_corona(g: Graph, h: Graph) -> BoundReport:
-    return evaluate_bound(ProductKind.CORONA, g, h)
-
-
-def bound_disjunction(g: Graph, h: Graph) -> BoundReport:
-    return evaluate_bound(ProductKind.DISJUNCTION, g, h)
-
-
-def bound_symdiff(g: Graph, h: Graph) -> BoundReport:
-    return evaluate_bound(ProductKind.SYMDIFF, g, h)
+    scan = BoundScan(ProductKind(kind))
+    return scan.check(g, graph_total_irregularity(g), h, graph_total_irregularity(h))

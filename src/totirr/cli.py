@@ -24,7 +24,7 @@ from .families import (
     gen_random_tree,
     gen_star,
 )
-from .formats import emit_graph6, format_record, parse_edge_list, parse_graph6
+from .formats import check_graph6_size, emit_graph6, format_record, parse_edge_list, parse_graph6
 from .graph import Graph
 from .indices import (
     collatz_sinogowitz,
@@ -162,6 +162,7 @@ def _cmd_gen(args, out) -> int:
     def one_param() -> int:
         if len(params) != 1:
             raise InputError(f"family {family!r} takes exactly one integer parameter")
+        check_graph6_size(params[0])
         return params[0]
 
     if family == "path":
@@ -179,6 +180,7 @@ def _cmd_gen(args, out) -> int:
     elif family == "multipartite":
         if not params:
             raise InputError("multipartite needs at least one part size")
+        check_graph6_size(sum(params))
         g = gen_complete_multipartite(params)
     else:  # tree
         g = gen_random_tree(one_param(), args.seed)
@@ -187,9 +189,12 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_op(args, out) -> int:
+    kind = ProductKind(args.kind)
     g = parse_graph6(args.a)
     h = parse_graph6(args.b)
-    composite = apply_product(ProductKind(args.kind), g, h)
+    n = {ProductKind.JOIN: g.n + h.n, ProductKind.CORONA: g.n + g.n * h.n}.get(kind, g.n * h.n)
+    check_graph6_size(n)
+    composite = apply_product(kind, g, h)
     text = emit_graph6(composite)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:

@@ -82,11 +82,17 @@ def parse_graph6(s: str) -> Graph:
     return Graph(adj)
 
 
+def check_graph6_size(n: int) -> None:
+    """Reject a vertex count too large for graph6 output; callers check
+    before building a graph they would emit."""
+    if n > MAX_GRAPH6_N:
+        raise InputError(f"graph6 output supports n <= {MAX_GRAPH6_N}, got {n}")
+
+
 def emit_graph6(g: Graph) -> str:
     """Encode a Graph as a canonical graph6 string."""
     n = g.n
-    if n > MAX_GRAPH6_N:
-        raise InputError(f"graph6 output supports n <= {MAX_GRAPH6_N}, got {n}")
+    check_graph6_size(n)
     out = []
     if n <= 62:
         out.append(n + 63)
@@ -113,8 +119,9 @@ def emit_graph6(g: Graph) -> str:
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
-    Header line "n <count>", then one "u v" pair per line; '#' comments
-    and blank lines are ignored.  Errors carry 1-based line numbers.
+    Header line "n <count>" with count <= MAX_GRAPH6_N, then one "u v" pair
+    per line; '#' comments and blank lines are ignored.  Errors carry
+    1-based line numbers.
     """
     n = None
     edges: List[Tuple[int, int]] = []
@@ -134,6 +141,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListParseError(f"bad vertex count {tokens[1]!r}", lineno) from None
             if n < 1:
                 raise EdgeListParseError(f"vertex count must be >= 1, got {n}", lineno)
+            if n > MAX_GRAPH6_N:
+                raise EdgeListParseError(
+                    f"vertex count {n} exceeds supported maximum {MAX_GRAPH6_N}", lineno
+                )
             continue
         if len(tokens) != 2:
             raise EdgeListParseError(f"expected 'u v', got {raw.strip()!r}", lineno)

@@ -85,6 +85,11 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self.n, self._adj.tobytes()))
 
+    def __reduce__(self):
+        # rebuild through __init__, so an unpickled copy is validated and
+        # read-only like the original
+        return Graph, (self._adj,)
+
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 

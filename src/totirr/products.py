@@ -4,12 +4,14 @@ disjunction and symmetric difference.
 All n1*n2-vertex products label the composite vertex (u, v) as u * n2 + v,
 which is exactly the Kronecker-product block layout, so each adjacency is a
 short boolean expression in np.kron.  Corona places g's vertices first,
-followed by the copies of h in order.
+followed by the copies of h in order.  product_degrees gives the same
+composites' degree sequences from the operands' degrees alone.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -124,3 +126,32 @@ PRODUCT_FUNCS = {
 
 def apply_product(kind: ProductKind, g: Graph, h: Graph) -> Graph:
     return PRODUCT_FUNCS[ProductKind(kind)](g, h)
+
+
+def product_degrees(
+    kind: ProductKind, dg: Sequence[int], dh: Sequence[int]
+) -> Tuple[int, ...]:
+    """Degree sequence of the composite of operands with degree sequences
+    dg and dh, in apply_product's vertex labelling, as exact Python ints.
+
+    Each entry is the degree identity stated in the operation's docstring,
+    so no adjacency is built; apply_product is the oracle it is tested
+    against.
+    """
+    kind = ProductKind(kind)
+    n1, n2 = len(dg), len(dh)
+    if kind is ProductKind.JOIN:
+        return tuple(d + n2 for d in dg) + tuple(d + n1 for d in dh)
+    if kind is ProductKind.CORONA:
+        return tuple(d + n2 for d in dg) + tuple(d + 1 for d in dh) * n1
+    if kind is ProductKind.LEXICOGRAPHIC:
+        return tuple(n2 * a + b for a in dg for b in dh)
+    if kind is ProductKind.CARTESIAN:
+        return tuple(a + b for a in dg for b in dh)
+    if kind is ProductKind.STRONG:
+        return tuple(a + b + a * b for a in dg for b in dh)
+    if kind is ProductKind.DIRECT:
+        return tuple(a * b for a in dg for b in dh)
+    if kind is ProductKind.DISJUNCTION:
+        return tuple(n2 * a + n1 * b - a * b for a in dg for b in dh)
+    return tuple(n2 * a + n1 * b - 2 * a * b for a in dg for b in dh)

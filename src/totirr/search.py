@@ -11,7 +11,9 @@ count.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +22,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .errors import FalsificationError, InputError
-from .bounds import _bound_formula, _hypothesis_ok, bound_theorem1
+from .bounds import BoundScan, bound_theorem1
 from .formats import emit_graph6, triangle_pairs
 from .families import (
     gen_complete,
@@ -31,9 +33,13 @@ from .families import (
 )
 from .graph import Graph
 from .indices import graph_total_irregularity
-from .products import ProductKind, apply_product
+
+# apply_product is not called here; perfbench/tracing.py wraps the name
+# totirr.search.apply_product, so it stays importable from this module
+from .products import ProductKind, apply_product  # noqa: F401
 
 ENUM_MAX_N = 8
+MAX_WORKERS = 256
 _BLOCK = 1 << 16
 
 
@@ -45,8 +51,8 @@ def graph_from_code(n: int, code: int) -> Graph:
     """Decode an enumeration code into a Graph."""
     k = n * (n - 1) // 2
     adj = np.zeros((n, n), dtype=bool)
-    for t, (i, j) in enumerate(triangle_pairs(n)):
-        if (code >> (k - 1 - t)) & 1:
+    for (i, j), bit in zip(triangle_pairs(n), format(code, f"0{k}b")):
+        if bit == "1":
             adj[i, j] = adj[j, i] = True
     return Graph(adj)
 
@@ -113,15 +119,23 @@ def _theorem1_block(n: int, start: int, stop: int) -> Tuple[int, int]:
     return best_val, best_code
 
 
-def _theorem1_worker(args) -> Tuple[int, int]:
-    return _theorem1_block(*args)
-
-
 def _split_range(total: int, workers: int) -> List[Tuple[int, int]]:
-    """Contiguous, near-equal partition of [0, total)."""
-    workers = max(1, min(workers, total))
+    """Contiguous, near-equal partition of [0, total) into at most
+    `workers` blocks."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise InputError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
+    workers = min(workers, total)
     step = (total + workers - 1) // workers
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+
+
+def _map_blocks(block, tasks: List[tuple]) -> list:
+    """[block(*task) for task in tasks], in order.  Several tasks run in a
+    pool of at most one worker process per core."""
+    if len(tasks) == 1:
+        return [block(*tasks[0])]
+    with multiprocessing.Pool(min(len(tasks), os.cpu_count() or 1)) as pool:
+        return pool.starmap(block, tasks)
 
 
 def verify_theorem1(n: int, workers: int = 1, allow_large: bool = False) -> SearchOutcome:
@@ -137,12 +151,7 @@ def verify_theorem1(n: int, workers: int = 1, allow_large: bool = False) -> Sear
             f"n = {ENUM_MAX_N} scans 2^28 graphs; pass allow_large=True to confirm"
         )
     total = num_labeled_graphs(n)
-    ranges = _split_range(total, workers)
-    if len(ranges) == 1:
-        results = [_theorem1_block(n, *ranges[0])]
-    else:
-        with multiprocessing.Pool(len(ranges)) as pool:
-            results = pool.map(_theorem1_worker, [(n, lo, hi) for lo, hi in ranges])
+    results = _map_blocks(_theorem1_block, [(n, lo, hi) for lo, hi in _split_range(total, workers)])
     # deterministic reduction: max value, lowest code on ties
     best_val, best_code = -1, -1
     for val, code in results:
@@ -174,47 +183,18 @@ def _operand_pool(n: int) -> List[Tuple[Graph, int]]:
     return pool
 
 
-def _sweep_block(kind_tag: str, n1: int, n2: int, start: int, stop: int):
-    """Scan pair indices [start, stop); returns partial extrema.
+def _sweep_block(kind_tag: str, n1: int, n2: int, start: int, stop: int) -> BoundScan:
+    """Check pair indices [start, stop) in order.
 
     Pair index p maps to (code_g, code_h) = divmod(p, 2^k2).
     """
-    kind = ProductKind(kind_tag)
     pool_g = _operand_pool(n1)
     pool_h = _operand_pool(n2)
-    size_h = len(pool_h)
-    min_slack: Optional[int] = None
-    slack_idx = -1
-    max_ratio: Optional[Fraction] = None
-    ratio_idx = -1
-    hyp_cases = 0
+    scan = BoundScan(ProductKind(kind_tag))
     for p in range(start, stop):
-        a, b = divmod(p, size_h)
-        g, tg = pool_g[a]
-        h, th = pool_h[b]
-        if not _hypothesis_ok(kind, g, h):
-            continue
-        hyp_cases += 1
-        actual = graph_total_irregularity(apply_product(kind, g, h))
-        bound = _bound_formula(kind, g.n, g.m, h.n, h.m, tg, th)
-        slack = bound - actual
-        if slack < 0:
-            raise FalsificationError(
-                f"{kind.value} bound violated at pair index {p}: "
-                f"actual={actual} > bound={bound} "
-                f"(g={emit_graph6(g)}, h={emit_graph6(h)})"
-            )
-        if min_slack is None or slack < min_slack:
-            min_slack, slack_idx = slack, p
-        if bound > 0:
-            ratio = Fraction(actual, bound)
-            if max_ratio is None or ratio > max_ratio:
-                max_ratio, ratio_idx = ratio, p
-    return min_slack, slack_idx, max_ratio, ratio_idx, hyp_cases
-
-
-def _sweep_worker(args):
-    return _sweep_block(*args)
+        a, b = divmod(p, len(pool_h))
+        scan.check(*pool_g[a], *pool_h[b])
+    return scan
 
 
 def sweep_operation_bounds(
@@ -231,44 +211,22 @@ def sweep_operation_bounds(
     if not (1 <= n1 <= 4 and 1 <= n2 <= 4):
         raise InputError(f"exhaustive sweeps support n1, n2 in [1, 4], got {n1}, {n2}")
     total = num_labeled_graphs(n1) * num_labeled_graphs(n2)
-    ranges = _split_range(total, workers)
-    if len(ranges) == 1:
-        results = [_sweep_block(kind.value, n1, n2, *ranges[0])]
-    else:
-        with multiprocessing.Pool(len(ranges)) as pool:
-            results = pool.map(
-                _sweep_worker, [(kind.value, n1, n2, lo, hi) for lo, hi in ranges]
-            )
-    min_slack: Optional[int] = None
-    slack_idx = -1
-    max_ratio: Optional[Fraction] = None
-    ratio_idx = -1
-    for part_slack, part_sidx, part_ratio, part_ridx, _ in results:
-        if part_slack is not None and (
-            min_slack is None
-            or part_slack < min_slack
-            or (part_slack == min_slack and part_sidx < slack_idx)
-        ):
-            min_slack, slack_idx = part_slack, part_sidx
-        if part_ratio is not None and (
-            max_ratio is None
-            or part_ratio > max_ratio
-            or (part_ratio == max_ratio and part_ridx < ratio_idx)
-        ):
-            max_ratio, ratio_idx = part_ratio, part_ridx
-    witness: Tuple[str, ...] = ()
-    if min_slack is not None:
-        size_h = num_labeled_graphs(n2)
-        a, b = divmod(slack_idx, size_h)
-        witness = (emit_graph6(graph_from_code(n1, a)), emit_graph6(graph_from_code(n2, b)))
+    results = _map_blocks(
+        _sweep_block, [(kind.value, n1, n2, lo, hi) for lo, hi in _split_range(total, workers)]
+    )
+    # blocks come back in index order, so merging them in turn keeps the
+    # lowest pair index on ties, as a single block would
+    scan = results[0]
+    for part in results[1:]:
+        scan.merge(part)
     return SearchOutcome(
         task="sweep",
         n1=n1,
         n2=n2,
         cases_examined=total,
-        min_slack=min_slack,
-        max_ratio=max_ratio,
-        witness=witness,
+        min_slack=scan.min_slack,
+        max_ratio=scan.max_ratio,
+        witness=tuple(emit_graph6(x) for x in scan.slack_pair or ()),
     )
 
 
@@ -281,12 +239,10 @@ def _deterministic_battery(n: int) -> List[Graph]:
 
 
 def _random_graph(n: int, rng: random.Random) -> Graph:
-    """Each edge independently present with probability 1/2."""
-    adj = np.zeros((n, n), dtype=bool)
-    for i, j in triangle_pairs(n):
-        if rng.getrandbits(1):
-            adj[i, j] = adj[j, i] = True
-    return Graph(adj)
+    """Each edge independently present with probability 1/2: one random
+    bit per upper-triangle pair, drawn in graph6 order."""
+    bits = "".join("1" if rng.getrandbits(1) else "0" for _ in range(n * (n - 1) // 2))
+    return graph_from_code(n, int(bits or "0", 2))
 
 
 def probe_open_problem(
@@ -308,44 +264,18 @@ def probe_open_problem(
     if n1 * n2 > 4096:
         raise InputError(f"probe requires n1*n2 <= 4096, got {n1 * n2}")
     rng = random.Random(seed)
-    pairs: List[Tuple[Graph, Graph]] = [
-        (g, h) for g in _deterministic_battery(n1) for h in _deterministic_battery(n2)
-    ]
-    for _ in range(samples):
-        pairs.append((_random_graph(n1, rng), _random_graph(n2, rng)))
-
-    min_slack: Optional[int] = None
-    slack_pair: Optional[Tuple[Graph, Graph]] = None
-    max_ratio: Optional[Fraction] = None
-    ratio_pair: Optional[Tuple[Graph, Graph]] = None
-    for g, h in pairs:
-        tg = graph_total_irregularity(g)
-        th = graph_total_irregularity(h)
-        actual = graph_total_irregularity(apply_product(kind, g, h))
-        bound = _bound_formula(kind, g.n, g.m, h.n, h.m, tg, th)
-        slack = bound - actual
-        if slack < 0:
-            raise FalsificationError(
-                f"{kind.value} bound violated: actual={actual} > bound={bound} "
-                f"(g={emit_graph6(g)}, h={emit_graph6(h)})"
-            )
-        if min_slack is None or slack < min_slack:
-            min_slack, slack_pair = slack, (g, h)
-        if bound > 0:
-            ratio = Fraction(actual, bound)
-            if max_ratio is None or ratio > max_ratio:
-                max_ratio, ratio_pair = ratio, (g, h)
-    witness_pair = ratio_pair if ratio_pair is not None else slack_pair
-    witness: Tuple[str, ...] = ()
-    if witness_pair is not None:
-        witness = (emit_graph6(witness_pair[0]), emit_graph6(witness_pair[1]))
+    battery = itertools.product(_deterministic_battery(n1), _deterministic_battery(n2))
+    sampled = ((_random_graph(n1, rng), _random_graph(n2, rng)) for _ in range(samples))
+    scan = BoundScan(kind)
+    for g, h in itertools.chain(battery, sampled):
+        scan.check(g, graph_total_irregularity(g), h, graph_total_irregularity(h))
     return SearchOutcome(
         task="probe",
         n1=n1,
         n2=n2,
-        cases_examined=len(pairs),
-        min_slack=min_slack,
-        max_ratio=max_ratio,
-        witness=witness,
+        cases_examined=scan.checked,
+        min_slack=scan.min_slack,
+        max_ratio=scan.max_ratio,
+        witness=tuple(emit_graph6(x) for x in scan.ratio_pair or scan.slack_pair or ()),
         seed=seed,
     )

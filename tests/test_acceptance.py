@@ -15,8 +15,7 @@ import pytest
 from totirr import (
     Graph,
     ProductKind,
-    bound_corona,
-    bound_join,
+    apply_product,
     bound_theorem1,
     complement,
     degree_variance,
@@ -32,6 +31,7 @@ from totirr import (
     graph_total_irregularity,
     num_labeled_graphs,
     parse_graph6,
+    product_degrees,
     total_irregularity_naive,
     verify_theorem1,
     zagreb_m1,
@@ -96,10 +96,10 @@ def test_criterion_3_sharpness_fixtures():
     for n1 in range(2, 8):
         for n2 in range(2, n1 + 1):
             for tree in trees(n1):
-                assert bound_join(tree, gen_complete(n2)).tight, (n1, n2)
+                assert evaluate_bound(ProductKind.JOIN, tree, gen_complete(n2)).tight, (n1, n2)
                 checked += 1
             for tree in trees(n2):
-                assert bound_corona(gen_complete(n1), tree).tight, (n1, n2)
+                assert evaluate_bound(ProductKind.CORONA, gen_complete(n1), tree).tight, (n1, n2)
                 checked += 1
 
     closed_forms = {
@@ -131,6 +131,11 @@ def test_criterion_4_soundness_sweep():
             for n2 in range(1, cap + 1):
                 for g in pools[n1]:
                     for h in pools[n2]:
+                        # evaluate_bound reads the composite's degrees from
+                        # product_degrees; the built composite must agree
+                        assert apply_product(kind, g, h).degrees() == product_degrees(
+                            kind, g.degrees(), h.degrees()
+                        )
                         # evaluate_bound raises FalsificationError on any
                         # hypothesis-satisfying violation
                         report = evaluate_bound(kind, g, h)
@@ -164,8 +169,6 @@ def test_criterion_6_identity_suite():
         check(g)
 
     # product degree identities, vertexwise against real adjacencies
-    from test_products import expected_degrees
-
     pools3 = [graph_from_code(3, c) for c in range(num_labeled_graphs(3))]
     pairs = list(itertools.product(pools3, pools3))
     rng = np.random.default_rng(13579)
@@ -174,11 +177,11 @@ def test_criterion_6_identity_suite():
             (np_random_graph(int(rng.integers(1, 9)), rng),
              np_random_graph(int(rng.integers(1, 9)), rng))
         )
-    from totirr import apply_product
-
     for kind in ProductKind:
         for g, h in pairs:
-            assert apply_product(kind, g, h).degrees() == expected_degrees(kind, g, h)
+            assert apply_product(kind, g, h).degrees() == product_degrees(
+                kind, g.degrees(), h.degrees()
+            )
     _passed(6, "complement, Zagreb, variance and product degree identities all hold")
 
 

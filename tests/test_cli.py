@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from totirr import emit_graph6, gen_cycle, gen_path, parse_graph6, parse_record
+from totirr import emit_graph6, gen_cycle, gen_empty, gen_path, parse_graph6, parse_record
 from totirr.cli import cli_main
 
 
@@ -143,3 +143,43 @@ def test_gen_invalid_params():
     assert code == 1
     code, _ = run_cli("gen", "path")
     assert code == 1
+
+
+EMPTY_64 = emit_graph6(gen_empty(64))
+EMPTY_65 = emit_graph6(gen_empty(65))
+
+
+@pytest.mark.parametrize(
+    "argv,stdin",
+    [
+        (["compute", "--format", "edgelist"], "n 100000000\n0 1\n"),
+        (["gen", "path", "1000000"], ""),
+        (["gen", "multipartite", "1000000", "1000000"], ""),
+        (["op", "cartesian", EMPTY_65, EMPTY_64], ""),
+        (["op", "corona", EMPTY_64, EMPTY_64], ""),
+    ],
+    ids=["edgelist-header", "gen-path", "gen-multipartite", "op-cartesian", "op-corona"],
+)
+def test_size_caps_checked_before_building(argv, stdin, monkeypatch, capsys):
+    def build(*args):
+        raise AssertionError("composite built before its size was checked")
+
+    monkeypatch.setattr("totirr.cli.apply_product", build)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, text = run_cli(*argv)
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("workers", ["0", "257"])
+@pytest.mark.parametrize(
+    "argv",
+    [["search", "theorem1", "--n", "4"], ["search", "sweep", "--op", "join", "--n1", "2", "--n2", "2"]],
+    ids=["theorem1", "sweep"],
+)
+def test_workers_out_of_range(argv, workers, capsys):
+    code, text = run_cli(*argv, "--workers", workers)
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,8 +74,12 @@ class TestConstruction:
 
     def test_adjacency_is_read_only(self):
         g = gen_path(3)
-        with pytest.raises(ValueError):
-            g.adjacency[0, 1] = False
+        # a copy sent to or from a worker process goes through pickle
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g
+        for graph in (g, copy):
+            with pytest.raises(ValueError):
+                graph.adjacency[0, 1] = False
 
     @given(edge_set_strategy())
     @settings(max_examples=100)

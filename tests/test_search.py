@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
@@ -131,3 +133,38 @@ class TestProbe:
     def test_rejects_oversized(self):
         with pytest.raises(InputError):
             probe_open_problem(ProductKind.SYMDIFF, 65, 64, samples=1, seed=0)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -1, 257])
+    def test_rejects_out_of_range(self, workers):
+        with pytest.raises(InputError, match="workers"):
+            verify_theorem1(4, workers=workers)
+        with pytest.raises(InputError, match="workers"):
+            sweep_operation_bounds(ProductKind.JOIN, 2, 2, workers=workers)
+
+    @pytest.mark.parametrize("cores,size", [(2, 2), (None, 1), (64, 8)])
+    def test_pool_has_at_most_one_process_per_core(self, cores, size, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, tasks):
+                return [fn(*task) for task in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        # eight blocks are still scanned and reduced, whatever the pool size
+        assert verify_theorem1(5, workers=8) == verify_theorem1(5, workers=1)
+        assert sweep_operation_bounds(ProductKind.JOIN, 3, 2, workers=8) == (
+            sweep_operation_bounds(ProductKind.JOIN, 3, 2, workers=1)
+        )
+        assert sizes == [size, size]
