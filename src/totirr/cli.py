@@ -3,12 +3,14 @@ indices, evaluate bounds, and run the verification searches.
 
 All results go to stdout as line-delimited key=value records (graph6 for
 graphs); diagnostics go to stderr.  Exit codes: 0 success, 1 input error,
-2 internal invariant violation (including any bound falsification).
+out of memory or a closed stdout, 2 internal invariant violation (including
+any bound falsification), 130 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -61,6 +63,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute indices for input graphs")
+    p_compute.set_defaults(run=_cmd_compute)
     p_compute.add_argument("--input", default="-", help="input file, '-' for stdin")
     p_compute.add_argument("--format", choices=["g6", "edgelist"], default="g6")
     p_compute.add_argument(
@@ -70,6 +73,7 @@ def _build_parser() -> _Parser:
     )
 
     p_gen = sub.add_parser("gen", help="generate a named graph family as graph6")
+    p_gen.set_defaults(run=_cmd_gen)
     p_gen.add_argument(
         "family",
         choices=["path", "cycle", "complete", "star", "empty", "multipartite", "extremal", "tree"],
@@ -78,18 +82,21 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--seed", type=int, default=0, help="seed for tree generation")
 
     p_op = sub.add_parser("op", help="apply a binary operation to two graph6 graphs")
+    p_op.set_defaults(run=_cmd_op)
     p_op.add_argument("kind", choices=PRODUCT_TAGS)
     p_op.add_argument("a", help="left operand, graph6")
     p_op.add_argument("b", help="right operand, graph6")
     p_op.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
     p_bound = sub.add_parser("bound", help="evaluate a theorem bound")
+    p_bound.set_defaults(run=_cmd_bound)
     p_bound.add_argument("kind", choices=PRODUCT_TAGS + ["theorem1"])
     p_bound.add_argument("a", nargs="?", help="left operand, graph6")
     p_bound.add_argument("b", nargs="?", help="right operand, graph6")
     p_bound.add_argument("--n", type=int, default=None, help="vertex count (theorem1 only)")
 
     p_search = sub.add_parser("search", help="run a verification search")
+    p_search.set_defaults(run=_cmd_search)
     search_sub = p_search.add_subparsers(dest="search_task", required=True)
 
     p_t1 = search_sub.add_parser("theorem1", help="exhaustive max total irregularity")
@@ -136,7 +143,7 @@ def _load_graphs(text: str, fmt: str) -> List[Graph]:
     return graphs
 
 
-def _cmd_compute(args, out) -> int:
+def _cmd_compute(args, out) -> None:
     names = [name.strip() for name in args.indices.split(",") if name.strip()]
     for name in names:
         if name not in INDEX_FUNCS:
@@ -153,10 +160,9 @@ def _cmd_compute(args, out) -> int:
                 ),
                 file=out,
             )
-    return 0
 
 
-def _cmd_gen(args, out) -> int:
+def _cmd_gen(args, out) -> None:
     family, params = args.family, args.params
 
     def one_param() -> int:
@@ -185,10 +191,9 @@ def _cmd_gen(args, out) -> int:
     else:  # tree
         g = gen_random_tree(one_param(), args.seed)
     print(emit_graph6(g), file=out)
-    return 0
 
 
-def _cmd_op(args, out) -> int:
+def _cmd_op(args, out) -> None:
     kind = ProductKind(args.kind)
     g = parse_graph6(args.a)
     h = parse_graph6(args.b)
@@ -201,7 +206,6 @@ def _cmd_op(args, out) -> int:
             fh.write(text + "\n")
     else:
         print(text, file=out)
-    return 0
 
 
 def _bound_record(report: BoundReport, g6_a: str, g6_b: str) -> str:
@@ -226,7 +230,7 @@ def _bound_record(report: BoundReport, g6_a: str, g6_b: str) -> str:
     )
 
 
-def _cmd_bound(args, out) -> int:
+def _cmd_bound(args, out) -> None:
     if args.kind == "theorem1":
         if args.n is None:
             raise InputError("bound theorem1 requires --n")
@@ -236,14 +240,13 @@ def _cmd_bound(args, out) -> int:
             ),
             file=out,
         )
-        return 0
+        return
     if args.a is None or args.b is None:
         raise InputError(f"bound {args.kind} requires two graph6 operands")
     g = parse_graph6(args.a)
     h = parse_graph6(args.b)
     report = evaluate_bound(ProductKind(args.kind), g, h)
     print(_bound_record(report, emit_graph6(g), emit_graph6(h)), file=out)
-    return 0
 
 
 def _search_record(outcome: SearchOutcome) -> str:
@@ -269,7 +272,7 @@ def _search_record(outcome: SearchOutcome) -> str:
     return format_record(fields)
 
 
-def _cmd_search(args, out) -> int:
+def _cmd_search(args, out) -> None:
     if args.search_task == "theorem1":
         outcome = verify_theorem1(args.n, workers=args.workers, allow_large=args.allow_large)
     elif args.search_task == "sweep":
@@ -281,7 +284,6 @@ def _cmd_search(args, out) -> int:
             ProductKind(args.op), args.n1, args.n2, samples=args.samples, seed=args.seed
         )
     print(_search_record(outcome), file=out)
-    return 0
 
 
 def cli_main(argv: Optional[Sequence[str]] = None, out=None) -> int:
@@ -289,21 +291,25 @@ def cli_main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "compute":
-            return _cmd_compute(args, out)
-        if args.command == "gen":
-            return _cmd_gen(args, out)
-        if args.command == "op":
-            return _cmd_op(args, out)
-        if args.command == "bound":
-            return _cmd_bound(args, out)
-        return _cmd_search(args, out)
+        args.run(args, out)
+        out.flush()  # so a closed pipe shows here, not at exit
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`); what is still buffered
+        # goes to devnull, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except KeyboardInterrupt:
+        return 130
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 def main() -> int:

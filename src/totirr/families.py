@@ -77,16 +77,12 @@ def gen_extremal_total_irr(n: int) -> Graph:
     if n < 2:
         raise InputError(f"extremal construction needs n >= 2, got {n}")
     p = n // 2
-    edges = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            edges.append((i, j))          # clique on the top layer
-            edges.append((i, p + j))      # t_i ~ b_j for i < j
-    if n % 2 == 0:
-        edges.extend((i, p + i) for i in range(p))
-    else:
-        edges.extend((i, 2 * p) for i in range(p))
-    return from_edge_list(n, edges)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[:p, :p] = ~np.eye(p, dtype=bool)  # clique on the top layer
+    # t_i ~ b_j for i < j; the diagonal is the matching, kept for even n
+    adj[:p, p : 2 * p] = np.triu(np.ones((p, p), dtype=bool), n % 2)
+    adj[:p, 2 * p :] = True  # the apex column; empty for even n
+    return Graph(adj | adj.T)
 
 
 def gen_random_tree(n: int, seed: int) -> Graph:

@@ -5,10 +5,14 @@ bytes carrying n in 6-bit groups (supported up to n = 4096 here); then
 ceil(n(n-1)/2 / 6) payload bytes, each byte-63 giving six adjacency bits,
 most significant first, in column-major upper-triangle order
 x(0,1), x(0,2), x(1,2), x(0,3), ...  Padding bits must be zero.
+
+`triangle_index` is the one place that knows this bit order: the codec,
+`graph_from_bits` and the enumeration codes in `search` all go through it.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -20,9 +24,26 @@ from .graph import Graph, from_edge_list
 MAX_GRAPH6_N = 4096
 
 
-def triangle_pairs(n: int) -> List[Tuple[int, int]]:
-    """Upper-triangle pairs in graph6 bit order."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
+@functools.lru_cache(maxsize=4)  # bounded: the n = 4096 entry holds 134 MB
+def triangle_index(n: int) -> np.ndarray:
+    """Flat positions in an n x n adjacency of the n(n-1)/2 graph6 bits,
+    shape (2, k): row 0 the entries (i, j), i < j, in graph6 order, row 1
+    their mirrors (j, i).  Read-only: every caller shares the cached array.
+    """
+    # tril_indices walks (1,0), (2,0), (2,1), (3,0), ...: read as (j, i),
+    # that is x(0,1), x(0,2), x(1,2), x(0,3), ...
+    j, i = np.tril_indices(n, -1)
+    index = np.stack((i * n + j, j * n + i))
+    index.setflags(write=False)
+    return index
+
+
+def graph_from_bits(n: int, bits: Union[Sequence[int], np.ndarray]) -> Graph:
+    """The graph on n vertices whose n(n-1)/2 upper-triangle adjacency
+    bits, in graph6 order, are `bits` (0/1 or booleans)."""
+    adj = np.zeros(n * n, dtype=bool)
+    adj[triangle_index(n)] = np.asarray(bits, dtype=bool)  # both rows at once
+    return Graph(adj.reshape(n, n))
 
 
 def _check_byte(b: int, offset: int) -> int:
@@ -65,21 +86,15 @@ def parse_graph6(s: str) -> Graph:
     if len(data) - pos > nbytes:
         raise Graph6ParseError("trailing bytes after payload", pos + nbytes)
 
-    adj = np.zeros((n, n), dtype=bool)
-    pairs = triangle_pairs(n)
-    bit = 0
-    for t in range(nbytes):
-        val = _check_byte(data[pos + t], pos + t)
-        for shift in range(5, -1, -1):
-            b = (val >> shift) & 1
-            if bit < k:
-                if b:
-                    i, j = pairs[bit]
-                    adj[i, j] = adj[j, i] = True
-            elif b:
-                raise Graph6ParseError("nonzero padding bit", pos + t)
-            bit += 1
-    return Graph(adj)
+    payload = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=pos)
+    bad = np.flatnonzero((payload < 63) | (payload > 126))
+    if bad.size:
+        _check_byte(int(payload[bad[0]]), pos + int(bad[0]))
+    # the low six bits of each byte-63, most significant first
+    bits = np.unpackbits((payload - 63)[:, None], axis=1)[:, 2:].ravel()
+    if bits[k:].any():  # padding fills part of the last byte only
+        raise Graph6ParseError("nonzero padding bit", pos + nbytes - 1)
+    return graph_from_bits(n, bits[:k])
 
 
 def check_graph6_size(n: int) -> None:
@@ -101,19 +116,11 @@ def emit_graph6(g: Graph) -> str:
         out.append(((n >> 12) & 63) + 63)
         out.append(((n >> 6) & 63) + 63)
         out.append((n & 63) + 63)
-    adj = g.adjacency
     k = n * (n - 1) // 2
-    val = 0
-    nbits = 0
-    for i, j in triangle_pairs(n):
-        val = (val << 1) | int(adj[i, j])
-        nbits += 1
-        if nbits == 6:
-            out.append(val + 63)
-            val = nbits = 0
-    if k % 6:
-        out.append((val << (6 - k % 6)) + 63)
-    return bytes(out).decode("ascii")
+    bits = np.zeros(-(-k // 6) * 6, dtype=bool)  # zero padding to whole bytes
+    bits[:k] = g.adjacency.ravel()[triangle_index(n)[0]]
+    payload = (np.packbits(bits.reshape(-1, 6), axis=1) >> 2) + 63
+    return (bytes(out) + payload.tobytes()).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -95,23 +95,13 @@ def spectral_radius(
     a = g.adjacency.astype(float)
     n = g.n
     v = np.ones(n)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:  # unreachable for n >= 1; fixed fallback for safety
-        v[0] += 1.0
-        norm = 1.0
-    v /= norm
+    v /= np.linalg.norm(v)
     rayleigh = float(v @ (a @ v))
     delta = np.inf
     for _ in range(max_iter):
         w = a @ v + v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # start vector annihilated by A + I; perturb and restart
-            v = np.ones(n)
-            v[0] += 1.0
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
+        # v >= 0 with unit norm, so |(A + I)v| >= |v| = 1: never zero
+        v = w / np.linalg.norm(w)
         new_rayleigh = float(v @ (a @ v))
         delta = abs(new_rayleigh - rayleigh)
         rayleigh = new_rayleigh

@@ -2,11 +2,12 @@
 
 Labeled graphs on n vertices are identified with integer codes
 0 .. 2^(n(n-1)/2)-1 whose bits, most significant first, are the
-upper-triangle adjacency entries in graph6 order.  Enumeration, the
-brute-force maximum scan, and the bound sweeps all run over contiguous
-code ranges, so parallel runs partition the range into blocks and reduce
-with a lowest-index tie-break: results are byte-identical at any worker
-count.
+upper-triangle adjacency entries in graph6 order; `formats.triangle_index`
+owns that order and codes decode through `formats.graph_from_bits`.
+Enumeration, the brute-force maximum scan, and the bound sweeps all run
+over contiguous code ranges, so parallel runs partition the range into
+blocks and reduce with a lowest-index tie-break: results are
+byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import FalsificationError, InputError
 from .bounds import BoundScan, bound_theorem1
-from .formats import emit_graph6, triangle_pairs
+from .formats import emit_graph6, graph_from_bits, triangle_index
 from .families import (
     gen_complete,
     gen_empty,
@@ -50,11 +51,9 @@ def num_labeled_graphs(n: int) -> int:
 def graph_from_code(n: int, code: int) -> Graph:
     """Decode an enumeration code into a Graph."""
     k = n * (n - 1) // 2
-    adj = np.zeros((n, n), dtype=bool)
-    for (i, j), bit in zip(triangle_pairs(n), format(code, f"0{k}b")):
-        if bit == "1":
-            adj[i, j] = adj[j, i] = True
-    return Graph(adj)
+    width = (k + 7) // 8
+    bits = np.unpackbits(np.frombuffer(code.to_bytes(width, "big"), dtype=np.uint8))
+    return graph_from_bits(n, bits[8 * width - k :])
 
 
 def enumerate_labeled_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
@@ -90,10 +89,10 @@ class SearchOutcome:
 
 def _pair_incidence(n: int) -> np.ndarray:
     """k x n 0/1 matrix mapping upper-triangle bits to vertex degrees."""
-    pairs = triangle_pairs(n)
-    inc = np.zeros((len(pairs), n), dtype=np.int64)
-    for t, (i, j) in enumerate(pairs):
-        inc[t, i] = inc[t, j] = 1
+    k = n * (n - 1) // 2
+    inc = np.zeros((k, n), dtype=np.int64)
+    # bit t sets the entries (i, j) and (j, i), in rows i and j
+    inc[np.arange(k), triangle_index(n) // n] = 1
     return inc
 
 
@@ -103,7 +102,7 @@ def _theorem1_block(n: int, start: int, stop: int) -> Tuple[int, int]:
     inc = _pair_incidence(n)
     # ascending-sort coefficients: irr_t = sum (2i - n - 1) d_(i), i 1-based
     coeffs = 2 * np.arange(1, n + 1, dtype=np.int64) - n - 1
-    shifts = np.array([k - 1 - t for t in range(k)], dtype=np.int64)
+    shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
     best_val, best_code = -1, -1
     for lo in range(start, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
@@ -241,8 +240,7 @@ def _deterministic_battery(n: int) -> List[Graph]:
 def _random_graph(n: int, rng: random.Random) -> Graph:
     """Each edge independently present with probability 1/2: one random
     bit per upper-triangle pair, drawn in graph6 order."""
-    bits = "".join("1" if rng.getrandbits(1) else "0" for _ in range(n * (n - 1) // 2))
-    return graph_from_code(n, int(bits or "0", 2))
+    return graph_from_bits(n, [rng.getrandbits(1) for _ in range(n * (n - 1) // 2)])
 
 
 def probe_open_problem(

@@ -1,18 +1,14 @@
 import random
 
-import numpy as np
 import pytest
 
 from totirr import Graph
-from totirr.formats import triangle_pairs
+from totirr.formats import graph_from_bits
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
-    adj = np.zeros((n, n), dtype=bool)
-    for i, j in triangle_pairs(n):
-        if rng.random() < p:
-            adj[i, j] = adj[j, i] = True
-    return Graph(adj)
+    """G(n, p): one rng.random() draw per vertex pair, in graph6 bit order."""
+    return graph_from_bits(n, [rng.random() < p for _ in range(n * (n - 1) // 2)])
 
 
 @pytest.fixture

@@ -1,7 +1,12 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import totirr
 from totirr import emit_graph6, gen_cycle, gen_empty, gen_path, parse_graph6, parse_record
 from totirr.cli import cli_main
 
@@ -183,3 +188,38 @@ def test_workers_out_of_range(argv, workers, capsys):
     assert code == 1 and text == ""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("n", ["4", "4096"], ids=["flushed-at-end", "written-in-command"])
+def test_closed_stdout_exits_1_without_traceback(n):
+    # the pipe's read end is closed before the command writes anything, so
+    # every write to stdout fails; at n = 4096 the 1.4 MB graph6 line fails
+    # inside print, at n = 4 the buffered line fails on the final flush
+    src = str(Path(totirr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "totirr.cli", "gen", "path", n],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize(
+    "exc,code,err",
+    [
+        (KeyboardInterrupt(), 130, ""),
+        (MemoryError(), 1, "error: out of memory\n"),
+        (MemoryError("Unable to allocate 1.00 PiB"), 1, "error: Unable to allocate 1.00 PiB\n"),
+    ],
+    ids=["interrupt", "memory", "memory-message"],
+)
+def test_interrupt_and_memory_error(exc, code, err, monkeypatch, capsys):
+    def command(args, out):
+        raise exc
+
+    monkeypatch.setattr("totirr.cli._cmd_gen", command)
+    assert run_cli("gen", "path", "4") == (code, "")
+    assert capsys.readouterr().err == err

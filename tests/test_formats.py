@@ -1,21 +1,25 @@
+import random
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from totirr import (
     EdgeListParseError,
+    Graph,
     Graph6ParseError,
     InputError,
     emit_graph6,
     format_record,
     gen_complete,
+    gen_empty,
     gen_path,
     parse_edge_list,
     parse_graph6,
     parse_record,
 )
-from totirr.search import enumerate_labeled_graphs
+from totirr.search import enumerate_labeled_graphs, graph_from_code
 
 from conftest import random_graph
 
@@ -44,6 +48,23 @@ class TestGraph6Parse:
         # P_3 payload is 101000; flip a padding bit: 101001 -> 41 + 63 = 'h'
         with pytest.raises(Graph6ParseError, match="padding"):
             parse_graph6("Bh")
+
+    # G(65) has 2080 bits: 347 payload bytes after the 4-byte header, the
+    # last one ending in 2 padding bits
+    EMPTY_65 = emit_graph6(gen_empty(65))
+
+    @pytest.mark.parametrize("index", [0, 100, 346])
+    def test_bad_byte_extended_header(self, index):
+        s = self.EMPTY_65
+        pos = 4 + index
+        with pytest.raises(Graph6ParseError, match="byte 31 outside") as exc:
+            parse_graph6(s[:pos] + "\x1f" + s[pos + 1 :])
+        assert exc.value.offset == pos
+
+    def test_nonzero_padding_extended_header(self):
+        with pytest.raises(Graph6ParseError, match="padding") as exc:
+            parse_graph6(self.EMPTY_65[:-1] + "@")  # '@' - 63 = 000001
+        assert exc.value.offset == 4 + 346
 
     def test_truncated_payload(self):
         with pytest.raises(Graph6ParseError, match="truncated"):
@@ -81,6 +102,14 @@ class TestGraph6RoundTrip:
         assert s.startswith("~")
         assert parse_graph6(s) == g
 
+    def test_random_at_cap(self):
+        rng = np.random.default_rng(4096)
+        upper = np.triu(rng.integers(0, 2, size=(4096, 4096), dtype=bool), 1)
+        g = Graph(upper | upper.T)
+        s = emit_graph6(g)
+        assert len(s) == 4 + 4096 * 4095 // 12
+        assert parse_graph6(s) == g
+
     def test_agrees_with_networkx(self, rng):
         for _ in range(40):
             g = random_graph(rng.randint(1, 40), rng)
@@ -97,6 +126,24 @@ class TestGraph6RoundTrip:
             g = parse_graph6(s)
             assert g.n == ref_graph.number_of_nodes()
             assert set(g.edges()) == {tuple(sorted(e)) for e in ref_graph.edges()}
+
+
+def graph6_from_code(n, code):
+    """graph6 string whose payload carries the k = n(n-1)/2 bits of code,
+    most significant first, then zero padding."""
+    k = n * (n - 1) // 2
+    bits = format(code, f"0{k}b") if k else ""  # format(0, "00b") is "0"
+    bits += "0" * (-k % 6)
+    header = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    return header + "".join(chr(int(bits[t : t + 6], 2) + 63) for t in range(0, len(bits), 6))
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 300])
+def test_code_decodes_like_graph6_payload(n):
+    code = random.Random(n).getrandbits(n * (n - 1) // 2)
+    g = graph_from_code(n, code)
+    assert g == parse_graph6(graph6_from_code(n, code))
+    assert g.m == bin(code).count("1")
 
 
 class TestEdgeList:

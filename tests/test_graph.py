@@ -186,7 +186,27 @@ class TestFamilies:
             gen_complete_multipartite([2, 0])
 
 
+def extremal_from_edges(n):
+    """The extremal construction spelled out edge by edge (labels as in
+    gen_extremal_total_irr's docstring)."""
+    p = n // 2
+    edges = []
+    for i in range(p):
+        for j in range(i + 1, p):
+            edges.append((i, j))  # clique on the top layer
+            edges.append((i, p + j))  # t_i ~ b_j for i < j
+    if n % 2 == 0:
+        edges.extend((i, p + i) for i in range(p))
+    else:
+        edges.extend((i, 2 * p) for i in range(p))
+    return from_edge_list(n, edges)
+
+
 class TestExtremalConstruction:
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_matches_edge_list_construction(self, n):
+        assert gen_extremal_total_irr(n) == extremal_from_edges(n)
+
     def test_n4_degree_sequence(self):
         assert sorted(gen_extremal_total_irr(4).degrees(), reverse=True) == [3, 2, 2, 1]
 
