@@ -8,7 +8,6 @@ searches, plus a graph6-speaking CLI.
 
 from .bounds import BoundReport, bound_theorem1, evaluate_bound
 from .errors import (
-    ConvergenceError,
     EdgeListParseError,
     FalsificationError,
     Graph6ParseError,

@@ -124,7 +124,9 @@ def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        # a non-ASCII byte decodes to a lone surrogate at its byte offset,
+        # so the parsers reject it as an input error
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None

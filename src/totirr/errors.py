@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Two failure classes matter to callers: bad input (exit code 1 at the CLI)
-and internal invariant violations (exit code 2), the latter covering both
-numeric non-convergence and any observed violation of a proved bound.
+and internal invariant violations (exit code 2), such as an observed
+violation of a proved bound.
 """
 
 
@@ -28,14 +28,6 @@ class EdgeListParseError(InputError):
 
 class InternalError(RuntimeError):
     """Base for failures that indicate a broken invariant, not bad input."""
-
-
-class ConvergenceError(InternalError):
-    """Power iteration exceeded its iteration cap; carries the residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
 
 
 class FalsificationError(InternalError):

@@ -56,7 +56,10 @@ def parse_graph6(s: str) -> Graph:
     """Decode one graph6 string into a Graph."""
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
-    data = s.encode("ascii", errors="replace")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6ParseError(f"non-ASCII character {s[exc.start]!r}", exc.start) from None
     if not data:
         raise Graph6ParseError("empty graph6 string", 0)
     pos = 0

@@ -49,8 +49,11 @@ def num_labeled_graphs(n: int) -> int:
 
 
 def graph_from_code(n: int, code: int) -> Graph:
-    """Decode an enumeration code into a Graph."""
+    """Decode an enumeration code, 0 <= code < num_labeled_graphs(n),
+    into a Graph."""
     k = n * (n - 1) // 2
+    if n < 1 or not 0 <= code < num_labeled_graphs(n):
+        raise InputError(f"need n >= 1 and 0 <= code < 2^{k}, got n = {n}, code = {code}")
     width = (k + 7) // 8
     bits = np.unpackbits(np.frombuffer(code.to_bytes(width, "big"), dtype=np.uint8))
     return graph_from_bits(n, bits[8 * width - k :])

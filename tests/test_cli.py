@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import totirr
 from totirr import emit_graph6, gen_cycle, gen_empty, gen_path, parse_graph6, parse_record
@@ -141,6 +143,33 @@ def test_bad_graph6_exits_1(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "fmt,data,message",
+    [
+        ("g6", b"C\xff\n", "non-ASCII character '\\udcff' (byte offset 1)"),
+        ("g6", b"\xff", "byte offset 0"),
+        ("g6", "Cé\n".encode(), "non-ASCII character '\\udcc3' (byte offset 1)"),
+        ("edgelist", b"n 3\n0 \xff\n", "line 2"),
+    ],
+    ids=["g6-payload", "g6-header", "g6-utf8", "edgelist"],
+)
+def test_non_ascii_input_file_exits_1(fmt, data, message, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert run_cli("compute", "--input", str(path), "--format", fmt) == (1, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+
+
+@pytest.mark.parametrize("fmt", ["g6", "edgelist"])
+@given(data=st.binary())
+@settings(max_examples=150, deadline=None)
+def test_any_input_file_exits_0_or_1(fmt, data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(data)
+    assert cli_main(["compute", "--input", str(path), "--format", fmt], out=io.StringIO()) in (0, 1)
 
 
 def test_gen_invalid_params():

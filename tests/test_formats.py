@@ -4,6 +4,8 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from totirr import (
     EdgeListParseError,
@@ -65,6 +67,46 @@ class TestGraph6Parse:
         with pytest.raises(Graph6ParseError, match="padding") as exc:
             parse_graph6(self.EMPTY_65[:-1] + "@")  # '@' - 63 = 000001
         assert exc.value.offset == 4 + 346
+
+    @pytest.mark.parametrize(
+        "s,offset",
+        [
+            ("Cé", 1),
+            ("éw", 0),
+            (">>graph6<<Cé", 1),
+            (EMPTY_65[:2] + "é" + EMPTY_65[3:], 2),
+            (EMPTY_65[:100] + "\udcff" + EMPTY_65[101:], 100),
+        ],
+        ids=["payload", "header", "prefixed-payload", "extended-header", "surrogate-payload"],
+    )
+    def test_non_ascii_character(self, s, offset):
+        with pytest.raises(Graph6ParseError, match="non-ASCII") as exc:
+            parse_graph6(s)
+        assert exc.value.offset == offset
+
+    # any character, but half of them headers and payload bytes of small
+    # graphs, so that parseable strings come up often
+    @given(
+        st.sampled_from(["", ">>graph6<<"]),
+        st.text(st.one_of(st.sampled_from("?@ABC_w~"), st.characters())),
+    )
+    def test_accepts_only_printable_graph6_bytes(self, prefix, body):
+        try:
+            parse_graph6(prefix + body)
+        except Graph6ParseError:
+            return
+        assert all(63 <= ord(c) <= 126 for c in body)
+
+    @given(st.data())
+    def test_any_character_outside_range_rejected_at_its_offset(self, data):
+        n = data.draw(st.integers(1, 66), label="n")
+        code = data.draw(st.integers(0, 2 ** (n * (n - 1) // 2) - 1), label="code")
+        s = emit_graph6(graph_from_code(n, code))
+        i = data.draw(st.integers(0, len(s) - 1), label="i")
+        c = data.draw(st.characters().filter(lambda c: not 63 <= ord(c) <= 126), label="c")
+        with pytest.raises(Graph6ParseError) as exc:
+            parse_graph6(s[:i] + c + s[i + 1 :])
+        assert exc.value.offset == i
 
     def test_truncated_payload(self):
         with pytest.raises(Graph6ParseError, match="truncated"):

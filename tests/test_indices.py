@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totirr import (
-    ConvergenceError,
-    InputError,
     collatz_sinogowitz,
     complement,
     degree_variance,
@@ -109,6 +107,17 @@ class TestZagreb:
             assert zagreb_m1(g) == zagreb_m1_edge_form(g)
 
 
+class TestEdgeIndicesAgainstEdgeLoop:
+    def test_random_graphs(self, rng):
+        for _ in range(60):
+            g = random_graph(rng.randint(1, 40), rng)
+            ds = g.degrees()
+            edges = list(g.edges())
+            assert irregularity(g) == sum(abs(ds[u] - ds[v]) for u, v in edges)
+            assert zagreb_m2(g) == sum(ds[u] * ds[v] for u, v in edges)
+            assert zagreb_m1_edge_form(g) == sum(ds[u] + ds[v] for u, v in edges)
+
+
 class TestDegreeVariance:
     def test_regular_zero(self):
         assert degree_variance(gen_cycle(5)) == 0.0
@@ -149,20 +158,32 @@ class TestCollatzSinogowitz:
             g = random_graph(rng.randint(1, 12), rng)
             assert collatz_sinogowitz(g) >= 0.0
 
-    def test_bad_tolerance(self):
-        with pytest.raises(InputError):
-            spectral_radius(gen_path(3), tol=0)
-
-    def test_iteration_cap(self):
-        with pytest.raises(ConvergenceError):
-            spectral_radius(gen_path(5), tol=1e-10, max_iter=2)
-
     def test_star_spectral_radius_closed_form(self):
         # lambda_1 of a star on n vertices is sqrt(n - 1)
         for n in (3, 5, 10):
             assert spectral_radius(gen_star(n)) == pytest.approx(
                 math.sqrt(n - 1), abs=1e-9
             )
+
+
+class TestSpectralRadius:
+    """lambda_1 against closed forms, to 1e-10 absolute."""
+
+    @pytest.mark.parametrize("n", [2, 10, 300, 1000])
+    def test_path(self, n):
+        assert abs(spectral_radius(gen_path(n)) - 2 * math.cos(math.pi / (n + 1))) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 50])
+    def test_star(self, n):
+        assert abs(spectral_radius(gen_star(n)) - math.sqrt(n - 1)) < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 100])
+    def test_cycle(self, n):
+        assert abs(spectral_radius(gen_cycle(n)) - 2) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_complete(self, n):
+        assert abs(spectral_radius(gen_complete(n)) - (n - 1)) < 1e-10
 
 
 class TestComplementInvariance:

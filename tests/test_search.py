@@ -10,6 +10,9 @@ from totirr import (
     ProductKind,
     bound_theorem1,
     enumerate_labeled_graphs,
+    gen_complete,
+    gen_empty,
+    graph_from_code,
     graph_total_irregularity,
     num_labeled_graphs,
     parse_graph6,
@@ -38,6 +41,16 @@ class TestEnumeration:
     def test_n8_requires_opt_in(self):
         with pytest.raises(InputError, match="allow_large"):
             next(enumerate_labeled_graphs(8))
+
+    @pytest.mark.parametrize("n,code", [(2, 2), (4, 64), (4, 256), (4, -1), (1, 1), (0, 0), (-1, 0)])
+    def test_code_out_of_range(self, n, code):
+        with pytest.raises(InputError, match=f"got n = {n}, code = {code}"):
+            graph_from_code(n, code)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_boundary_codes(self, n):
+        assert graph_from_code(n, 0) == gen_empty(n)
+        assert graph_from_code(n, num_labeled_graphs(n) - 1) == gen_complete(n)
 
     def test_lexicographic_order(self):
         graphs = list(enumerate_labeled_graphs(2))
