@@ -122,14 +122,16 @@ def _build_parser() -> _Parser:
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    try:
-        # a non-ASCII byte decodes to a lone surrogate at its byte offset,
-        # so the parsers reject it as an input error
-        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        data = sys.stdin.buffer.read()
+    else:
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc}") from None
+    # a non-ASCII byte decodes to a lone surrogate at its byte offset, so
+    # the parsers reject it as an input error
+    return data.decode("ascii", "surrogateescape")
 
 
 def _load_graphs(text: str, fmt: str) -> List[Graph]:

@@ -6,8 +6,9 @@ ceil(n(n-1)/2 / 6) payload bytes, each byte-63 giving six adjacency bits,
 most significant first, in column-major upper-triangle order
 x(0,1), x(0,2), x(1,2), x(0,3), ...  Padding bits must be zero.
 
-`triangle_index` is the one place that knows this bit order: the codec,
-`graph_from_bits` and the enumeration codes in `search` all go through it.
+`triangle_mask` is the one place that knows this bit order (by symmetry,
+the strict lower triangle read row-major): the codec, `graph_from_bits`
+and the enumeration codes in `search` all go through it.
 """
 
 from __future__ import annotations
@@ -24,26 +25,23 @@ from .graph import Graph, from_edge_list
 MAX_GRAPH6_N = 4096
 
 
-@functools.lru_cache(maxsize=4)  # bounded: the n = 4096 entry holds 134 MB
-def triangle_index(n: int) -> np.ndarray:
-    """Flat positions in an n x n adjacency of the n(n-1)/2 graph6 bits,
-    shape (2, k): row 0 the entries (i, j), i < j, in graph6 order, row 1
-    their mirrors (j, i).  Read-only: every caller shares the cached array.
-    """
-    # tril_indices walks (1,0), (2,0), (2,1), (3,0), ...: read as (j, i),
-    # that is x(0,1), x(0,2), x(1,2), x(0,3), ...
-    j, i = np.tril_indices(n, -1)
-    index = np.stack((i * n + j, j * n + i))
-    index.setflags(write=False)
-    return index
+@functools.lru_cache(maxsize=4)  # bounded: the n = 4096 entry holds 16 MB
+def triangle_mask(n: int) -> np.ndarray:
+    """n x n boolean mask of the strict lower triangle, whose row-major
+    entries are the n(n-1)/2 graph6 bits.  Read-only: every caller shares
+    the cached array."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 def graph_from_bits(n: int, bits: Union[Sequence[int], np.ndarray]) -> Graph:
     """The graph on n vertices whose n(n-1)/2 upper-triangle adjacency
     bits, in graph6 order, are `bits` (0/1 or booleans)."""
-    adj = np.zeros(n * n, dtype=bool)
-    adj[triangle_index(n)] = np.asarray(bits, dtype=bool)  # both rows at once
-    return Graph(adj.reshape(n, n))
+    mask = triangle_mask(n)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[mask] = adj.T[mask] = np.asarray(bits, dtype=bool)  # both triangles
+    return Graph(adj)
 
 
 def _check_byte(b: int, offset: int) -> int:
@@ -121,17 +119,22 @@ def emit_graph6(g: Graph) -> str:
         out.append((n & 63) + 63)
     k = n * (n - 1) // 2
     bits = np.zeros(-(-k // 6) * 6, dtype=bool)  # zero padding to whole bytes
-    bits[:k] = g.adjacency.ravel()[triangle_index(n)[0]]
+    bits[:k] = g.adjacency[triangle_mask(n)]
     payload = (np.packbits(bits.reshape(-1, 6), axis=1) >> 2) + 63
     return (bytes(out) + payload.tobytes()).decode("ascii")
+
+
+def _is_decimal(token: str) -> bool:
+    # int() alone also takes a sign, underscores and non-ASCII digits
+    return token.isascii() and token.isdigit()
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
     Header line "n <count>" with count <= MAX_GRAPH6_N, then one "u v" pair
-    per line; '#' comments and blank lines are ignored.  Errors carry
-    1-based line numbers.
+    per line, all numbers in ASCII decimal digits; '#' comments and blank
+    lines are ignored.  Errors carry 1-based line numbers.
     """
     n = None
     edges: List[Tuple[int, int]] = []
@@ -145,10 +148,9 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListParseError(
                     f"expected header 'n <count>', got {raw.strip()!r}", lineno
                 )
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise EdgeListParseError(f"bad vertex count {tokens[1]!r}", lineno) from None
+            if not _is_decimal(tokens[1]):
+                raise EdgeListParseError(f"bad vertex count {tokens[1]!r}", lineno)
+            n = int(tokens[1])
             if n < 1:
                 raise EdgeListParseError(f"vertex count must be >= 1, got {n}", lineno)
             if n > MAX_GRAPH6_N:
@@ -158,10 +160,9 @@ def parse_edge_list(text: str) -> Graph:
             continue
         if len(tokens) != 2:
             raise EdgeListParseError(f"expected 'u v', got {raw.strip()!r}", lineno)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListParseError(f"non-integer endpoint in {raw.strip()!r}", lineno) from None
+        if not all(map(_is_decimal, tokens)):
+            raise EdgeListParseError(f"non-decimal endpoint in {raw.strip()!r}", lineno)
+        u, v = int(tokens[0]), int(tokens[1])
         if u == v:
             raise EdgeListParseError(f"self-loop {u} {v}", lineno)
         if n is not None and not (0 <= u < n and 0 <= v < n):

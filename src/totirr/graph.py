@@ -36,9 +36,8 @@ class Graph:
             raise InputError("adjacency is not symmetric")
         adj.setflags(write=False)
         self._adj = adj
-        deg = adj.sum(axis=1)
-        self._degrees = tuple(int(d) for d in deg)
-        self._m = int(deg.sum()) // 2
+        self._degrees = tuple(adj.sum(axis=1).tolist())
+        self._m = sum(self._degrees) // 2
 
     @property
     def n(self) -> int:

@@ -2,7 +2,7 @@
 
 Labeled graphs on n vertices are identified with integer codes
 0 .. 2^(n(n-1)/2)-1 whose bits, most significant first, are the
-upper-triangle adjacency entries in graph6 order; `formats.triangle_index`
+upper-triangle adjacency entries in graph6 order; `formats.triangle_mask`
 owns that order and codes decode through `formats.graph_from_bits`.
 Enumeration, the brute-force maximum scan, and the bound sweeps all run
 over contiguous code ranges, so parallel runs partition the range into
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FalsificationError, InputError
 from .bounds import BoundScan, bound_theorem1
-from .formats import emit_graph6, graph_from_bits, triangle_index
+from .formats import emit_graph6, graph_from_bits, triangle_mask
 from .families import (
     gen_complete,
     gen_empty,
@@ -92,11 +92,10 @@ class SearchOutcome:
 
 def _pair_incidence(n: int) -> np.ndarray:
     """k x n 0/1 matrix mapping upper-triangle bits to vertex degrees."""
-    k = n * (n - 1) // 2
-    inc = np.zeros((k, n), dtype=np.int64)
-    # bit t sets the entries (i, j) and (j, i), in rows i and j
-    inc[np.arange(k), triangle_index(n) // n] = 1
-    return inc
+    # bit t is the edge between vertices rows[t] and cols[t]
+    rows, cols = np.nonzero(triangle_mask(n))
+    one_hot = np.eye(n, dtype=np.int64)
+    return one_hot[rows] + one_hot[cols]
 
 
 def _theorem1_block(n: int, start: int, stop: int) -> Tuple[int, int]:
@@ -178,11 +177,7 @@ def verify_theorem1(n: int, workers: int = 1, allow_large: bool = False) -> Sear
 
 def _operand_pool(n: int) -> List[Tuple[Graph, int]]:
     """All labeled graphs on n vertices with their total irregularity."""
-    pool = []
-    for code in range(num_labeled_graphs(n)):
-        g = graph_from_code(n, code)
-        pool.append((g, graph_total_irregularity(g)))
-    return pool
+    return [(g, graph_total_irregularity(g)) for g in enumerate_labeled_graphs(n)]
 
 
 def _sweep_block(kind_tag: str, n1: int, n2: int, start: int, stop: int) -> BoundScan:

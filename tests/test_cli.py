@@ -31,8 +31,13 @@ def test_gen_tree_seeded():
     assert a == b
 
 
+def stdin_of(text):
+    """A stand-in for sys.stdin whose buffer holds the ASCII bytes of text."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("ascii")), encoding="ascii")
+
+
 def test_compute_from_stdin(monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(emit_graph6(gen_path(4)) + "\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of(emit_graph6(gen_path(4)) + "\n"))
     code, text = run_cli("compute", "--indices", "irr_t")
     assert code == 0
     record = parse_record(text.strip())
@@ -172,6 +177,32 @@ def test_any_input_file_exits_0_or_1(fmt, data, tmp_path_factory):
     assert cli_main(["compute", "--input", str(path), "--format", fmt], out=io.StringIO()) in (0, 1)
 
 
+@pytest.mark.parametrize("fmt", ["g6", "edgelist"])
+@given(data=st.binary())
+@settings(max_examples=150, deadline=None)
+def test_any_stdin_exits_0_or_1(fmt, data):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert cli_main(["compute", "--format", fmt], out=io.StringIO()) in (0, 1)
+
+
+def cli_env(**extra):
+    """os.environ with the totirr sources on PYTHONPATH, for a subprocess."""
+    src = str(Path(totirr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_non_ascii_stdin_exits_1_with_byte_offset():
+    # stdin is read as bytes, whatever encoding Python would give its text
+    proc = subprocess.run(
+        [sys.executable, "-m", "totirr.cli", "compute"],
+        input=b"C\xffh\n", capture_output=True, env=cli_env(PYTHONIOENCODING="utf-8"), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: non-ASCII character '\\udcff' (byte offset 1)\n"
+
+
 def test_gen_invalid_params():
     code, _ = run_cli("gen", "cycle", "2")
     assert code == 1
@@ -199,7 +230,7 @@ def test_size_caps_checked_before_building(argv, stdin, monkeypatch, capsys):
         raise AssertionError("composite built before its size was checked")
 
     monkeypatch.setattr("totirr.cli.apply_product", build)
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    monkeypatch.setattr("sys.stdin", stdin_of(stdin))
     code, text = run_cli(*argv)
     assert code == 1 and text == ""
     err = capsys.readouterr().err.splitlines()
@@ -224,11 +255,9 @@ def test_closed_stdout_exits_1_without_traceback(n):
     # the pipe's read end is closed before the command writes anything, so
     # every write to stdout fails; at n = 4096 the 1.4 MB graph6 line fails
     # inside print, at n = 4 the buffered line fails on the final flush
-    src = str(Path(totirr.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "totirr.cli", "gen", "path", n],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
     )
     proc.stdout.close()
     err = proc.stderr.read()

@@ -215,6 +215,25 @@ class TestEdgeList:
             parse_edge_list("n 2\n0 5")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("n 1_0\n0 9\n", 1),
+            ("n \u0663\n", 1),
+            ("n +3\n1 +2\n", 1),
+            ("n 3\n1 +2\n", 2),
+            ("n 3\n0 -1\n", 2),
+            ("n 12\n1_0 2\n", 2),
+            ("n 3\n0 \u0662\n", 2),
+        ],
+        ids=["count-underscore", "count-arabic-indic", "count-sign", "endpoint-sign",
+             "endpoint-minus", "endpoint-underscore", "endpoint-arabic-indic"],
+    )
+    def test_only_ascii_decimal_numbers(self, text, line):
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(text)
+        assert exc.value.line == line
+
 
 class TestRecords:
     def test_round_trip(self):

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from totirr import (
@@ -20,6 +21,7 @@ from totirr import (
     sweep_operation_bounds,
     verify_theorem1,
 )
+from totirr.search import _pair_incidence
 
 
 class TestEnumeration:
@@ -55,6 +57,16 @@ class TestEnumeration:
     def test_lexicographic_order(self):
         graphs = list(enumerate_labeled_graphs(2))
         assert graphs[0].m == 0 and graphs[1].m == 1
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pair_incidence_gives_degrees(n):
+    # bits exactly as _theorem1_block takes them from the codes
+    k = n * (n - 1) // 2
+    codes = np.arange(num_labeled_graphs(n), dtype=np.int64)
+    bits = (codes[:, None] >> np.arange(k - 1, -1, -1, dtype=np.int64)[None, :]) & 1
+    degrees = [graph_from_code(n, int(c)).degrees() for c in codes]
+    assert (bits @ _pair_incidence(n)).tolist() == [list(d) for d in degrees]
 
 
 class TestVerifyTheorem1:
