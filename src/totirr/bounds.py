@@ -3,27 +3,68 @@ plus the parity-dispatched global maximum for a single graph.
 
 Each bound depends only on (n, m, irr_t) of the operands, and each
 composite's degree sequence follows from the operands' degrees
-(products.product_degrees), so a BoundReport compares the formula against
-the composite's exact total irregularity without building its adjacency.
-BoundScan runs that check over a sequence of operand pairs.  A negative
-slack on a hypothesis-satisfying pair would falsify a published theorem
-and raises FalsificationError.
+(products.product_degree_rows), so a BoundReport compares the formula
+against the composite's exact total irregularity without building its
+adjacency.  BoundScan runs that check over operand pairs held as rows:
+two Operands pools (degree matrices) and one index array into each.  A
+negative slack on a hypothesis-satisfying pair would falsify a published
+theorem and raises FalsificationError.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import FalsificationError, InputError
 from .formats import emit_graph6
 from .graph import Graph, is_connected
-from .indices import graph_total_irregularity, total_irregularity
+from .indices import total_irregularity_rows
 
 # apply_product is not called here; perfbench/tracing.py wraps the name
 # totirr.bounds.apply_product, so it stays importable from this module
-from .products import ProductKind, apply_product, product_degrees  # noqa: F401
+from .products import ProductKind, apply_product, product_degree_rows  # noqa: F401
+
+# The bound formulas are exact in int64 for operands with n1 * n2 <= 4096,
+# that is (n1 n2)^3 <= 6.9e10: every term, like the composite's irr_t, is
+# then below 2^40 (corona's n1 (n2 + 1) vertices included), so it is also
+# exact as a float64.  Larger pairs evaluate them in Python ints.
+INT64_MAX_PAIR = 4096
+
+
+class Operands:
+    """A pool of operands on n vertices held as rows: the (size, n) degree
+    matrix, each operand's edge count and total irregularity, and its
+    connectivity, computed once per operand when a hypothesis needs it.
+    `graph(i)` decodes operand i; only witnesses and falsifications do.
+    """
+
+    def __init__(self, n: int, degrees: np.ndarray, graph: Callable[[int], Graph]):
+        self.n = n
+        self.degrees = degrees
+        self.m = degrees.sum(axis=1) // 2
+        self.irr_t = total_irregularity_rows(degrees)
+        self._graph = graph
+
+    @classmethod
+    def of_graphs(cls, graphs: Sequence[Graph]) -> Operands:
+        graphs = list(graphs)
+        degrees = np.array([g.degrees() for g in graphs], dtype=np.int64)
+        return cls(graphs[0].n, degrees, graphs.__getitem__)
+
+    def __len__(self) -> int:
+        return len(self.degrees)
+
+    def graph(self, i) -> Graph:
+        return self._graph(int(i))
+
+    @functools.cached_property
+    def connected(self) -> np.ndarray:
+        return np.array([is_connected(self.graph(i)) for i in range(len(self))], dtype=bool)
 
 
 def bound_theorem1(n: int) -> int:
@@ -82,8 +123,11 @@ def _bound_formula(kind: ProductKind, n1, m1, n2, m2, tg, th) -> int:
     raise InputError(f"unknown product kind {kind!r}")
 
 
-def _hypothesis_ok(kind: ProductKind, g: Graph, h: Graph) -> bool:
-    """Whether the theorem's (partly implicit) hypotheses hold for (g, h).
+def _hypothesis_ok(
+    kind: ProductKind, g: Operands, a: np.ndarray, h: Operands, b: np.ndarray
+) -> np.ndarray:
+    """Row mask: whether the theorem's (partly implicit) hypotheses hold
+    for each pair (g[a[i]], h[b[i]]).
 
     Join and corona carry the size ordering n1 >= n2.  Their proofs also
     take 'minimal degree sum' to mean a tree, which presumes the relevant
@@ -92,22 +136,24 @@ def _hypothesis_ok(kind: ProductKind, g: Graph, h: Graph) -> bool:
     (e.g. the join of two edgeless graphs), so these are theorem
     hypotheses, not artifacts of this implementation.
     """
+    if kind in (ProductKind.JOIN, ProductKind.CORONA) and g.n < h.n:
+        return np.zeros(len(a), dtype=bool)
     if kind is ProductKind.JOIN:
-        return g.n >= h.n and is_connected(g) and is_connected(h)
+        return g.connected[a] & h.connected[b]
     if kind is ProductKind.CORONA:
-        return g.n >= h.n and is_connected(h)
-    return True
+        return h.connected[b]
+    return np.ones(len(a), dtype=bool)
 
 
 @dataclass
 class BoundScan:
-    """One kind's bound checked over a sequence of operand pairs.
+    """One kind's bound checked over operand pairs, in row order.
 
-    `check` evaluates one pair.  Pairs whose hypotheses hold are counted
-    in `checked` and enter the extrema: the minimum slack, and the maximum
-    actual/bound ratio over positive bounds.  Each extremum keeps the
-    first pair attaining it, so a scan in pair-index order keeps the
-    lowest index on ties.
+    `check` evaluates a batch of pairs.  Pairs whose hypotheses hold are
+    counted in `checked` and enter the extrema: the minimum slack, and the
+    maximum actual/bound ratio over positive bounds.  Each extremum keeps
+    the first pair attaining it, decoded only when it becomes the extremum,
+    so a scan in pair-index order keeps the lowest index on ties.
     """
 
     kind: ProductKind
@@ -117,51 +163,70 @@ class BoundScan:
     max_ratio: Optional[Fraction] = None
     ratio_pair: Optional[Tuple[Graph, Graph]] = None
 
-    def check(self, g: Graph, tg: int, h: Graph, th: int) -> BoundReport:
-        """Compare the bound on (g, h), whose total irregularities are tg
-        and th, against the composite's exact total irregularity.
+    def check(
+        self, g: Operands, a: np.ndarray, h: Operands, b: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Compare the bound on each pair (g[a[i]], h[b[i]]) against the
+        composite's exact total irregularity; returns the rows' actual
+        values, bounds and hypothesis mask.
 
-        Raises FalsificationError, naming both operands, when the bound
-        is violated on a pair whose hypotheses hold.
+        Raises FalsificationError, naming both operands of the first such
+        row, when the bound is violated on a pair whose hypotheses hold.
         """
         kind = self.kind
-        actual = total_irregularity(product_degrees(kind, g.degrees(), h.degrees()))
-        bound = _bound_formula(kind, g.n, g.m, h.n, h.m, tg, th)
-        report = BoundReport(
-            kind=kind,
-            n1=g.n,
-            m1=g.m,
-            n2=h.n,
-            m2=h.m,
-            irr_t_g=tg,
-            irr_t_h=th,
-            actual=actual,
-            bound=bound,
-            hypothesis_ok=_hypothesis_ok(kind, g, h),
-        )
-        if not report.hypothesis_ok:
-            return report
-        if report.slack < 0:
+        actual = total_irregularity_rows(product_degree_rows(kind, g.degrees[a], h.degrees[b]))
+        terms = [g.m[a], h.m[b], g.irr_t[a], h.irr_t[b]]
+        if g.n * h.n > INT64_MAX_PAIR:
+            terms = [t.astype(object) for t in terms]
+        m1, m2, tg, th = terms
+        bound = np.broadcast_to(_bound_formula(kind, g.n, m1, h.n, m2, tg, th), actual.shape)
+        ok = _hypothesis_ok(kind, g, a, h, b)
+        slack = bound - actual
+        bad = np.flatnonzero(ok & (slack < 0))
+        if bad.size:
+            i = bad[0]
+            x, y = g.graph(a[i]), h.graph(b[i])
             raise FalsificationError(
-                f"{kind.value} bound violated: actual={actual} > bound={bound} "
-                f"on g={emit_graph6(g)} (n1={g.n}, m1={g.m}), "
-                f"h={emit_graph6(h)} (n2={h.n}, m2={h.m})"
+                f"{kind.value} bound violated: actual={int(actual[i])} > bound={int(bound[i])} "
+                f"on g={emit_graph6(x)} (n1={x.n}, m1={x.m}), "
+                f"h={emit_graph6(y)} (n2={y.n}, m2={y.m})"
             )
-        self.checked += 1
-        pair = (g, h)
-        self._keep(report.slack, pair, Fraction(actual, bound) if bound > 0 else None, pair)
-        return report
+        rows = np.flatnonzero(ok)
+        if rows.size == 0:
+            return actual, bound, ok
+        self.checked += rows.size
+
+        def pair(i):
+            return lambda: (g.graph(a[i]), h.graph(b[i]))
+
+        i = rows[np.argmin(slack[rows])]
+        ratio, j = None, None
+        rows = rows[bound[rows] > 0]
+        if rows.size:
+            top = rows
+            if bound.dtype != object:
+                # float64 holds these ints exactly and rounds the quotients
+                # monotonically, so the exact maximum is among the float maxima
+                approx = actual[rows].astype(float) / bound[rows].astype(float)
+                top = rows[approx == approx.max()]
+            exact = [Fraction(int(actual[r]), int(bound[r])) for r in top]
+            ratio = max(exact)
+            j = top[exact.index(ratio)]
+        self._keep(int(slack[i]), pair(i), ratio, pair(j))
+        return actual, bound, ok
 
     def merge(self, later: BoundScan) -> None:
         """Fold in the scan of the pairs that come after this scan's."""
         self.checked += later.checked
-        self._keep(later.min_slack, later.slack_pair, later.max_ratio, later.ratio_pair)
+        self._keep(
+            later.min_slack, lambda: later.slack_pair, later.max_ratio, lambda: later.ratio_pair
+        )
 
     def _keep(self, slack, slack_pair, ratio, ratio_pair) -> None:
         if slack is not None and (self.min_slack is None or slack < self.min_slack):
-            self.min_slack, self.slack_pair = slack, slack_pair
+            self.min_slack, self.slack_pair = slack, slack_pair()
         if ratio is not None and (self.max_ratio is None or ratio > self.max_ratio):
-            self.max_ratio, self.ratio_pair = ratio, ratio_pair
+            self.max_ratio, self.ratio_pair = ratio, ratio_pair()
 
 
 def evaluate_bound(kind: ProductKind, g: Graph, h: Graph) -> BoundReport:
@@ -172,5 +237,19 @@ def evaluate_bound(kind: ProductKind, g: Graph, h: Graph) -> BoundReport:
     theorem's hypotheses hold (see _hypothesis_ok).  A violated bound
     under a satisfied hypothesis raises FalsificationError.
     """
-    scan = BoundScan(ProductKind(kind))
-    return scan.check(g, graph_total_irregularity(g), h, graph_total_irregularity(h))
+    kind = ProductKind(kind)
+    pg, ph = Operands.of_graphs([g]), Operands.of_graphs([h])
+    row = np.zeros(1, dtype=np.intp)
+    actual, bound, ok = BoundScan(kind).check(pg, row, ph, row)
+    return BoundReport(
+        kind=kind,
+        n1=g.n,
+        m1=g.m,
+        n2=h.n,
+        m2=h.m,
+        irr_t_g=int(pg.irr_t[0]),
+        irr_t_h=int(ph.irr_t[0]),
+        actual=int(actual[0]),
+        bound=int(bound[0]),
+        hypothesis_ok=bool(ok[0]),
+    )

@@ -4,8 +4,9 @@ disjunction and symmetric difference.
 All n1*n2-vertex products label the composite vertex (u, v) as u * n2 + v,
 which is exactly the Kronecker-product block layout, so each adjacency is a
 short boolean expression in np.kron.  Corona places g's vertices first,
-followed by the copies of h in order.  product_degrees gives the same
-composites' degree sequences from the operands' degrees alone.
+followed by the copies of h in order.  product_degree_rows gives the same
+composites' degree sequences from the operands' degrees alone, one operand
+pair per row; product_degrees is its one-pair form.
 """
 
 from __future__ import annotations
@@ -128,30 +129,44 @@ def apply_product(kind: ProductKind, g: Graph, h: Graph) -> Graph:
     return PRODUCT_FUNCS[ProductKind(kind)](g, h)
 
 
-def product_degrees(
-    kind: ProductKind, dg: Sequence[int], dh: Sequence[int]
-) -> Tuple[int, ...]:
-    """Degree sequence of the composite of operands with degree sequences
-    dg and dh, in apply_product's vertex labelling, as exact Python ints.
+def product_degree_rows(kind: ProductKind, dg: np.ndarray, dh: np.ndarray) -> np.ndarray:
+    """Degree sequences of the composites of operand pairs, one pair per
+    row: dg is (rows, n1) and dh is (rows, n2), int64, and row i of the
+    result is the composite of row i's operands, in apply_product's vertex
+    labelling.  Every entry and intermediate value is below
+    3 (n1 + 1)(n2 + 1), so int64 is exact.
 
     Each entry is the degree identity stated in the operation's docstring,
     so no adjacency is built; apply_product is the oracle it is tested
     against.
     """
     kind = ProductKind(kind)
-    n1, n2 = len(dg), len(dh)
+    n1, n2 = dg.shape[1], dh.shape[1]
     if kind is ProductKind.JOIN:
-        return tuple(d + n2 for d in dg) + tuple(d + n1 for d in dh)
+        return np.concatenate([dg + n2, dh + n1], axis=1)
     if kind is ProductKind.CORONA:
-        return tuple(d + n2 for d in dg) + tuple(d + 1 for d in dh) * n1
+        return np.concatenate([dg + n2, np.tile(dh + 1, (1, n1))], axis=1)
+    # composite vertex (u, v) is u * n2 + v: row-major over (n1, n2)
+    a, b = dg[:, :, None], dh[:, None, :]
     if kind is ProductKind.LEXICOGRAPHIC:
-        return tuple(n2 * a + b for a in dg for b in dh)
-    if kind is ProductKind.CARTESIAN:
-        return tuple(a + b for a in dg for b in dh)
-    if kind is ProductKind.STRONG:
-        return tuple(a + b + a * b for a in dg for b in dh)
-    if kind is ProductKind.DIRECT:
-        return tuple(a * b for a in dg for b in dh)
-    if kind is ProductKind.DISJUNCTION:
-        return tuple(n2 * a + n1 * b - a * b for a in dg for b in dh)
-    return tuple(n2 * a + n1 * b - 2 * a * b for a in dg for b in dh)
+        d = n2 * a + b
+    elif kind is ProductKind.CARTESIAN:
+        d = a + b
+    elif kind is ProductKind.STRONG:
+        d = a + b + a * b
+    elif kind is ProductKind.DIRECT:
+        d = a * b
+    elif kind is ProductKind.DISJUNCTION:
+        d = n2 * a + n1 * b - a * b
+    else:
+        d = n2 * a + n1 * b - 2 * a * b
+    return d.reshape(len(d), n1 * n2)
+
+
+def product_degrees(
+    kind: ProductKind, dg: Sequence[int], dh: Sequence[int]
+) -> Tuple[int, ...]:
+    """Degree sequence of the composite of operands with degree sequences
+    dg and dh, as Python ints: product_degree_rows on one row."""
+    row = product_degree_rows(kind, np.array([dg], dtype=np.int64), np.array([dh], dtype=np.int64))
+    return tuple(row[0].tolist())

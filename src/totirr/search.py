@@ -8,11 +8,17 @@ Enumeration, the brute-force maximum scan, and the bound sweeps all run
 over contiguous code ranges, so parallel runs partition the range into
 blocks and reduce with a lowest-index tie-break: results are
 byte-identical at any worker count.
+
+Sweeps and the probe score operand pairs as rows.  Each side is a
+`bounds.Operands` pool of int64 degree rows, taken from the codes (sweep)
+or scattered from each sample's random bits (probe).  `BoundScan.check`
+scores a batch of index pairs at once, about 2^14 array cells per batch.
+A Graph is built only for a pool operand whose connectivity a hypothesis
+needs, a witness, or a falsification.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import random
@@ -23,7 +29,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .errors import FalsificationError, InputError
-from .bounds import BoundScan, bound_theorem1
+from .bounds import BoundScan, Operands, bound_theorem1
 from .formats import emit_graph6, graph_from_bits, triangle_mask
 from .families import (
     gen_complete,
@@ -33,7 +39,7 @@ from .families import (
     gen_star,
 )
 from .graph import Graph
-from .indices import graph_total_irregularity
+from .indices import graph_total_irregularity, total_irregularity_rows
 
 # apply_product is not called here; perfbench/tracing.py wraps the name
 # totirr.search.apply_product, so it stays importable from this module
@@ -41,7 +47,10 @@ from .products import ProductKind, apply_product  # noqa: F401
 
 ENUM_MAX_N = 8
 MAX_WORKERS = 256
+MAX_PROBE_SAMPLES = 10**7
 _BLOCK = 1 << 16
+# array cells per batch of operand-pair rows (sweep and probe)
+_BATCH_CELLS = 1 << 14
 
 
 def num_labeled_graphs(n: int) -> int:
@@ -98,21 +107,19 @@ def _pair_incidence(n: int) -> np.ndarray:
     return one_hot[rows] + one_hot[cols]
 
 
+def _code_degrees(n: int, start: int, stop: int) -> np.ndarray:
+    """Degree rows of the graphs with codes [start, stop) on n vertices."""
+    k = n * (n - 1) // 2
+    codes = np.arange(start, stop, dtype=np.int64)
+    bits = (codes[:, None] >> np.arange(k - 1, -1, -1, dtype=np.int64)[None, :]) & 1
+    return bits @ _pair_incidence(n)
+
+
 def _theorem1_block(n: int, start: int, stop: int) -> Tuple[int, int]:
     """Max total irregularity and its lowest code over codes [start, stop)."""
-    k = n * (n - 1) // 2
-    inc = _pair_incidence(n)
-    # ascending-sort coefficients: irr_t = sum (2i - n - 1) d_(i), i 1-based
-    coeffs = 2 * np.arange(1, n + 1, dtype=np.int64) - n - 1
-    shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
     best_val, best_code = -1, -1
     for lo in range(start, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        bits = (codes[:, None] >> shifts[None, :]) & 1
-        degs = bits @ inc
-        degs.sort(axis=1)
-        vals = degs @ coeffs
+        vals = total_irregularity_rows(_code_degrees(n, lo, min(lo + _BLOCK, stop)))
         idx = int(np.argmax(vals))
         val = int(vals[idx])
         if val > best_val:
@@ -175,9 +182,17 @@ def verify_theorem1(n: int, workers: int = 1, allow_large: bool = False) -> Sear
     )
 
 
-def _operand_pool(n: int) -> List[Tuple[Graph, int]]:
-    """All labeled graphs on n vertices with their total irregularity."""
-    return [(g, graph_total_irregularity(g)) for g in enumerate_labeled_graphs(n)]
+def _batch_rows(n1: int, n2: int) -> int:
+    """Operand-pair rows per batch: about _BATCH_CELLS cells, as no array
+    of one row (operand adjacencies, composite degrees) has more than
+    (n1 + n2)^2."""
+    return max(1, _BATCH_CELLS // (n1 + n2) ** 2)
+
+
+def _labeled_operands(n: int) -> Operands:
+    """Every labeled graph on n vertices, row i the graph with code i."""
+    degrees = _code_degrees(n, 0, num_labeled_graphs(n))
+    return Operands(n, degrees, lambda code: graph_from_code(n, code))
 
 
 def _sweep_block(kind_tag: str, n1: int, n2: int, start: int, stop: int) -> BoundScan:
@@ -185,12 +200,12 @@ def _sweep_block(kind_tag: str, n1: int, n2: int, start: int, stop: int) -> Boun
 
     Pair index p maps to (code_g, code_h) = divmod(p, 2^k2).
     """
-    pool_g = _operand_pool(n1)
-    pool_h = _operand_pool(n2)
+    g, h = _labeled_operands(n1), _labeled_operands(n2)
     scan = BoundScan(ProductKind(kind_tag))
-    for p in range(start, stop):
-        a, b = divmod(p, len(pool_h))
-        scan.check(*pool_g[a], *pool_h[b])
+    step = _batch_rows(n1, n2)
+    for lo in range(start, stop, step):
+        a, b = np.divmod(np.arange(lo, min(lo + step, stop)), len(h))
+        scan.check(g, a, h, b)
     return scan
 
 
@@ -235,10 +250,30 @@ def _deterministic_battery(n: int) -> List[Graph]:
     return battery
 
 
-def _random_graph(n: int, rng: random.Random) -> Graph:
-    """Each edge independently present with probability 1/2: one random
-    bit per upper-triangle pair, drawn in graph6 order."""
-    return graph_from_bits(n, [rng.getrandbits(1) for _ in range(n * (n - 1) // 2)])
+def _random_bits(rng: random.Random, count: int) -> np.ndarray:
+    """`count` draws of rng.getrandbits(1), as uint8.
+
+    getrandbits(1) is the top bit of one 32-bit output word, and
+    getrandbits(32 c) is c such words, least significant first.  So one
+    call per chunk of c draws gives the same bits and leaves rng in the
+    same state.
+    """
+    bits = np.empty(count, dtype=np.uint8)
+    for lo in range(0, count, _BATCH_CELLS):
+        c = min(_BATCH_CELLS, count - lo)
+        words = np.frombuffer(rng.getrandbits(32 * c).to_bytes(4 * c, "little"), dtype="<u4")
+        bits[lo : lo + c] = words >> 31
+    return bits
+
+
+def _sampled_operands(n: int, bits: np.ndarray) -> Operands:
+    """The graphs on n vertices whose graph6 bits are the rows of `bits`."""
+    adj = np.zeros((len(bits), n, n), dtype=bool)
+    # a mask of the array's full shape is scattered directly; adj[:, mask]
+    # would first expand the mask to index arrays, 134 MB at n = 4096
+    adj[np.broadcast_to(triangle_mask(n), adj.shape)] = bits.ravel()
+    degrees = adj.sum(axis=1, dtype=np.int64) + adj.sum(axis=2, dtype=np.int64)
+    return Operands(n, degrees, lambda i: graph_from_bits(n, bits[i]))
 
 
 def probe_open_problem(
@@ -246,10 +281,17 @@ def probe_open_problem(
 ) -> SearchOutcome:
     """Empirical probe of whether the disjunction / symmetric-difference
     bounds can be attained: deterministic battery of extreme families
-    first, then seeded random operand pairs.
+    first, then seeded random operand pairs, each edge present with
+    probability 1/2 (one rng.getrandbits(1) per graph6 bit, g's then h's).
 
     Reports the maximum actual/bound ratio (exact rational, over pairs
-    with positive bound) and the minimum slack.  Fully reproducible from
+    with positive bound) and the minimum slack.  The battery alone attains
+    both whenever they exist: its edgeless operand makes either bound
+    exact (actual = bound = n1^3 th, or n2^3 tg), so min_slack is 0 and
+    max_ratio is 1 once an operand has 3 or more vertices, and sampled
+    pairs add only falsification checks and `cases`.  A nondegenerate
+    tightness measure is ROADMAP.md item 3.  Samples are scored in
+    batches of rows, without a Graph per sample.  Fully reproducible from
     the seed; gathers evidence only, proves nothing.
     """
     kind = ProductKind(kind)
@@ -257,14 +299,25 @@ def probe_open_problem(
         raise InputError(f"probe targets disjunction or symdiff, got {kind.value}")
     if samples < 0:
         raise InputError(f"samples must be >= 0, got {samples}")
+    if samples > MAX_PROBE_SAMPLES:
+        raise InputError(f"samples must be <= {MAX_PROBE_SAMPLES}, got {samples}")
     if n1 * n2 > 4096:
         raise InputError(f"probe requires n1*n2 <= 4096, got {n1 * n2}")
     rng = random.Random(seed)
-    battery = itertools.product(_deterministic_battery(n1), _deterministic_battery(n2))
-    sampled = ((_random_graph(n1, rng), _random_graph(n2, rng)) for _ in range(samples))
     scan = BoundScan(kind)
-    for g, h in itertools.chain(battery, sampled):
-        scan.check(g, graph_total_irregularity(g), h, graph_total_irregularity(h))
+    g = Operands.of_graphs(_deterministic_battery(n1))
+    h = Operands.of_graphs(_deterministic_battery(n2))
+    a, b = np.divmod(np.arange(len(g) * len(h)), len(h))
+    scan.check(g, a, h, b)
+    k1 = n1 * (n1 - 1) // 2
+    k = k1 + n2 * (n2 - 1) // 2
+    step = _batch_rows(n1, n2)
+    for lo in range(0, samples, step):
+        rows = min(step, samples - lo)
+        bits = _random_bits(rng, rows * k).reshape(rows, k)
+        every = np.arange(rows)
+        g, h = _sampled_operands(n1, bits[:, :k1]), _sampled_operands(n2, bits[:, k1:])
+        scan.check(g, every, h, every)
     return SearchOutcome(
         task="probe",
         n1=n1,

@@ -1,20 +1,34 @@
+import random
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from totirr import (
     FalsificationError,
     ProductKind,
+    apply_product,
     bound_theorem1,
+    bounds,
+    emit_graph6,
+    enumerate_labeled_graphs,
     evaluate_bound,
     gen_complete,
     gen_cycle,
     gen_empty,
+    gen_extremal_total_irr,
     gen_path,
     gen_random_tree,
     gen_star,
     graph_total_irregularity,
+    is_connected,
     probe_open_problem,
     sweep_operation_bounds,
+    total_irregularity,
 )
+from totirr.bounds import INT64_MAX_PAIR, BoundScan, Operands, _bound_formula
+from totirr.formats import graph_from_bits
+from totirr.search import _deterministic_battery, _labeled_operands
 
 from conftest import random_graph
 
@@ -207,3 +221,127 @@ def test_falsification_names_both_operands(run, g6_g, g6_h, monkeypatch):
     with pytest.raises(FalsificationError) as exc:
         run()
     assert f"g={g6_g} " in str(exc.value) and f"h={g6_h} " in str(exc.value)
+
+
+def scalar_scan(kind, pairs):
+    """The per-pair check and reduce, one pair at a time in Python ints,
+    with each composite's degrees taken from the adjacency apply_product
+    builds: (checked, min_slack, slack_pair, max_ratio, ratio_pair)."""
+    checked, min_slack, slack_pair, max_ratio, ratio_pair = 0, None, None, None, None
+    for g, h in pairs:
+        actual = total_irregularity(apply_product(kind, g, h).degrees())
+        tg, th = graph_total_irregularity(g), graph_total_irregularity(h)
+        bound = _bound_formula(kind, g.n, g.m, h.n, h.m, tg, th)
+        if kind is ProductKind.JOIN:
+            ok = g.n >= h.n and is_connected(g) and is_connected(h)
+        elif kind is ProductKind.CORONA:
+            ok = g.n >= h.n and is_connected(h)
+        else:
+            ok = True
+        if not ok:
+            continue
+        assert bound >= actual
+        checked += 1
+        if min_slack is None or bound - actual < min_slack:
+            min_slack, slack_pair = bound - actual, (g, h)
+        if bound > 0 and (max_ratio is None or Fraction(actual, bound) > max_ratio):
+            max_ratio, ratio_pair = Fraction(actual, bound), (g, h)
+    return checked, min_slack, slack_pair, max_ratio, ratio_pair
+
+
+def row_scan(kind, g, a, h, b, batch):
+    scan = BoundScan(kind)
+    for lo in range(0, len(a), batch):
+        scan.check(g, a[lo : lo + batch], h, b[lo : lo + batch])
+    return scan.checked, scan.min_slack, scan.slack_pair, scan.max_ratio, scan.ratio_pair
+
+
+class TestRowScanAgainstScalarOracle:
+    """BoundScan.check on rows reduces exactly like the per-pair oracle:
+    same counts, extrema and first-occurrence witnesses, however the rows
+    are split into batches."""
+
+    @pytest.mark.parametrize("kind", list(ProductKind))
+    @pytest.mark.parametrize("n1,n2", [(3, 3), (4, 3)])
+    @pytest.mark.parametrize("order", ["index", "shuffled"])
+    def test_labeled_pairs(self, kind, n1, n2, order):
+        g, h = _labeled_operands(n1), _labeled_operands(n2)
+        pairs = np.arange(len(g) * len(h))
+        if order == "shuffled":
+            # repeats and a shuffled order make ties between rows that are
+            # not in index order, so only a first-occurrence merge passes
+            rng = np.random.default_rng(n1 * 10 + n2)
+            pairs = rng.permutation(np.concatenate([pairs, rng.choice(pairs, size=len(pairs))]))
+        a, b = np.divmod(pairs, len(h))
+        graphs_g = list(enumerate_labeled_graphs(n1))
+        graphs_h = list(enumerate_labeled_graphs(n2))
+        expected = scalar_scan(kind, [(graphs_g[i], graphs_h[j]) for i, j in zip(a, b)])
+        for batch in (1, 7, len(a)):
+            assert row_scan(kind, g, a, h, b, batch) == expected, batch
+
+    @pytest.mark.parametrize("kind", list(ProductKind))
+    def test_pair_above_int64_guard(self, kind):
+        # n1 * n2 = 4130 > INT64_MAX_PAIR: the formula runs on Python ints
+        rng = random.Random(3)
+        g, h = random_graph(70, rng), random_graph(59, rng)
+        assert g.n * h.n > INT64_MAX_PAIR
+        report = evaluate_bound(kind, g, h)
+        tg, th = graph_total_irregularity(g), graph_total_irregularity(h)
+        assert report.actual == total_irregularity(apply_product(kind, g, h).degrees())
+        assert report.bound == _bound_formula(kind, g.n, g.m, h.n, h.m, tg, th)
+
+
+def test_values_past_int64_stay_exact():
+    # with h complete, every symdiff composite degree is c + (2 - n2) d_g(u),
+    # so actual = n2^2 (n2 - 2) irr_t(g); it and the bound pass 2^63
+    g, h = gen_extremal_total_irr(2000), gen_complete(2000)
+    tg = graph_total_irregularity(g)
+    report = evaluate_bound(ProductKind.SYMDIFF, g, h)
+    assert report.actual == 2000**2 * 1998 * tg > 2**63
+    assert report.bound == _bound_formula(ProductKind.SYMDIFF, 2000, g.m, 2000, h.m, tg, 0) > 2**63
+
+def test_ratios_equal_as_floats_are_compared_exactly(monkeypatch):
+    """Two rows whose ratios differ by less than a float64 ulp: the later,
+    exactly larger one is the maximum, so the float filter must not pick."""
+    kind = ProductKind.LEXICOGRAPHIC
+    g = Operands.of_graphs([gen_star(8), gen_path(8)])
+    h = Operands.of_graphs([gen_star(8)])
+    a, b = np.arange(2), np.zeros(2, dtype=np.intp)
+    actual, _, _ = BoundScan(kind).check(g, a, h, b)
+    a1, a2 = int(actual[0]), int(actual[1])
+    # bounds below 2^53 convert to float64 exactly, as the scan's do
+    for b1 in range(2**50, 2**50 + 10**5):
+        b2 = a2 * b1 // a1
+        if Fraction(a2, b2) > Fraction(a1, b1) and a2 / b2 == a1 / b1:
+            break
+    else:
+        pytest.fail("no float-equal ratio pair found")
+    monkeypatch.setattr("totirr.bounds._bound_formula", lambda *args: np.array([b1, b2]))
+    scan = BoundScan(kind)
+    scan.check(g, a, h, b)
+    assert scan.max_ratio == Fraction(a2, b2)
+    assert scan.ratio_pair == (gen_path(8), gen_star(8))
+
+
+def test_falsification_on_a_sampled_row_names_both_operands(monkeypatch):
+    """A violation on a sampled (not battery) pair names that pair's
+    operands, decoded from the draws in the order the probe makes them."""
+    seed = 11
+    assert all(g.m != 1 for g in _deterministic_battery(4))
+    # the first sampled pair whose g has exactly one edge, drawn one bit at a time
+    rng = random.Random(seed)
+    while True:
+        g = graph_from_bits(4, [rng.getrandbits(1) for _ in range(6)])
+        h = graph_from_bits(4, [rng.getrandbits(1) for _ in range(6)])
+        if g.m == 1:
+            break
+    formula = bounds._bound_formula
+    monkeypatch.setattr(
+        "totirr.bounds._bound_formula",
+        lambda kind, n1, m1, n2, m2, tg, th: (
+            formula(kind, n1, m1, n2, m2, tg, th) - (m1 == 1) * 10**6
+        ),
+    )
+    with pytest.raises(FalsificationError) as exc:
+        probe_open_problem(ProductKind.SYMDIFF, 4, 4, samples=1000, seed=seed)
+    assert f"g={emit_graph6(g)} " in str(exc.value) and f"h={emit_graph6(h)} " in str(exc.value)

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -249,6 +250,19 @@ def test_workers_out_of_range(argv, workers, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
 
+
+def test_probe_sample_cap(monkeypatch, capsys):
+    def no_sampling(seed):
+        raise AssertionError("the probe started sampling")
+
+    monkeypatch.setattr(totirr.search, "random", types.SimpleNamespace(Random=no_sampling))
+    samples = str(totirr.search.MAX_PROBE_SAMPLES + 1)
+    code, text = run_cli(
+        "search", "probe", "--op", "symdiff", "--n1", "4", "--n2", "4",
+        "--samples", samples, "--seed", "0",
+    )
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == f"error: samples must be <= 10000000, got {samples}\n"
 
 @pytest.mark.parametrize("n", ["4", "4096"], ids=["flushed-at-end", "written-in-command"])
 def test_closed_stdout_exits_1_without_traceback(n):

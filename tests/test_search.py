@@ -1,5 +1,7 @@
 import multiprocessing
 import os
+import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,8 @@ from totirr import (
     sweep_operation_bounds,
     verify_theorem1,
 )
-from totirr.search import _pair_incidence
+from totirr import search
+from totirr.search import MAX_PROBE_SAMPLES, _BATCH_CELLS, _pair_incidence, _random_bits
 
 
 class TestEnumeration:
@@ -158,6 +161,37 @@ class TestProbe:
     def test_rejects_oversized(self):
         with pytest.raises(InputError):
             probe_open_problem(ProductKind.SYMDIFF, 65, 64, samples=1, seed=0)
+
+    def test_sample_cap_checked_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(search, "random", types.SimpleNamespace(Random=no_sampling))
+        samples = MAX_PROBE_SAMPLES + 1
+        with pytest.raises(InputError, match=f"samples must be <= {MAX_PROBE_SAMPLES}, got {samples}"):
+            probe_open_problem(ProductKind.SYMDIFF, 4, 4, samples=samples, seed=0)
+
+
+def no_sampling(seed):
+    raise AssertionError("the probe started sampling")
+
+
+class TestRandomBits:
+    """_random_bits(rng, c) draws the same bits as c calls of
+    rng.getrandbits(1), the probe's per-bit stream, and leaves rng in the
+    same state."""
+
+    @pytest.mark.parametrize("seed", [1729, 5, 0])
+    @pytest.mark.parametrize(
+        # 0 bits: a pair of 1-vertex operands; 12: a pair at 4x4; the
+        # rest end one bit short of, at, and past chunk boundaries
+        "counts",
+        [[0], [12, 0, 12], [_BATCH_CELLS - 1, 2], [_BATCH_CELLS, 1], [2 * _BATCH_CELLS + 5]],
+    )
+    def test_matches_per_bit_draws(self, seed, counts):
+        chunked, per_bit = random.Random(seed), random.Random(seed)
+        for count in counts:
+            bits = _random_bits(chunked, count)
+            assert bits.tolist() == [per_bit.getrandbits(1) for _ in range(count)]
+            assert chunked.getstate() == per_bit.getstate()
+        assert chunked.random() == per_bit.random()
 
 
 class TestWorkers:
