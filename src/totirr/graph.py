@@ -13,6 +13,24 @@ import numpy as np
 from .errors import InputError
 
 
+# side of the square tiles in which _is_symmetric compares a matrix with its
+# transpose: a tile and its mirror stay in cache, where a whole-matrix
+# transpose of a large graph is a strided pass through memory
+SYMMETRY_TILE = 256
+
+
+def _is_symmetric(adj: np.ndarray) -> bool:
+    """adj == adj.T, compared tile by tile over the tiles on and above the
+    diagonal; a matrix of at most one tile is one comparison."""
+    n = adj.shape[0]
+    t = SYMMETRY_TILE
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            if not np.array_equal(adj[i : i + t, j : j + t], adj[j : j + t, i : i + t].T):
+                return False
+    return True
+
+
 class Graph:
     """A simple undirected graph: symmetric boolean adjacency, empty diagonal.
 
@@ -32,7 +50,7 @@ class Graph:
         if adj.diagonal().any():
             bad = int(np.flatnonzero(adj.diagonal())[0])
             raise InputError(f"self-loop at vertex {bad}")
-        if not np.array_equal(adj, adj.T):
+        if not _is_symmetric(adj):
             raise InputError("adjacency is not symmetric")
         adj.setflags(write=False)
         self._adj = adj

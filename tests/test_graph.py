@@ -72,6 +72,26 @@ class TestConstruction:
         with pytest.raises(InputError, match="symmetric"):
             Graph(adj)
 
+    @pytest.mark.parametrize(
+        "n,u,v",
+        [
+            (300, 290, 10),  # partial last tile row, off the diagonal
+            (300, 10, 290),
+            (300, 299, 260),  # inside the partial diagonal tile
+            (4096, 100, 3000),  # off-diagonal tile
+            (4096, 3000, 100),
+            (4096, 513, 700),  # inside a diagonal tile
+        ],
+    )
+    def test_single_asymmetric_entry_rejected(self, n, u, v):
+        upper = np.triu(np.random.default_rng(n).integers(0, 2, (n, n), dtype=bool), 1)
+        adj = upper | upper.T
+        adj[u, v] = not adj[v, u]
+        with pytest.raises(InputError, match="adjacency is not symmetric"):
+            Graph(adj)
+        adj[u, v] = adj[v, u]
+        assert Graph(adj).n == n
+
     def test_adjacency_is_read_only(self):
         g = gen_path(3)
         # a copy sent to or from a worker process goes through pickle

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,13 @@ from totirr import (
     collatz_sinogowitz,
     complement,
     degree_variance,
+    disjoint_union,
     gen_complete,
+    gen_complete_multipartite,
     gen_cycle,
     gen_empty,
     gen_path,
+    gen_random_tree,
     gen_star,
     graph_total_irregularity,
     irregularity,
@@ -184,6 +189,93 @@ class TestSpectralRadius:
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
     def test_complete(self, n):
         assert abs(spectral_radius(gen_complete(n)) - (n - 1)) < 1e-10
+
+
+EPS = np.finfo(float).eps
+
+
+def eigvalsh_radius(g):
+    return float(np.linalg.eigvalsh(g.adjacency.astype(float))[-1])
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Count calls of np.linalg.eigvalsh: 0 means the Collatz-Wielandt
+    bracket certified the power iteration, 1 that it fell back."""
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def spy(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+class TestSpectralRadiusCertified:
+    """Graphs on which the bracket closes: no eigensolve."""
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (7, 100), (1, 4095), (2048, 2048)])
+    def test_complete_bipartite_is_sqrt_ab(self, a, b, eigvalsh_calls):
+        assert spectral_radius(gen_complete_multipartite([a, b])) == math.sqrt(a * b)
+        assert eigvalsh_calls == []
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 4096])
+    def test_star(self, n, eigvalsh_calls):
+        assert spectral_radius(gen_star(n)) == math.sqrt(n - 1)
+        assert eigvalsh_calls == []
+
+    @pytest.mark.parametrize("n", [2, 5, 4096])
+    def test_complete(self, n, eigvalsh_calls):
+        assert spectral_radius(gen_complete(n)) == n - 1
+        assert eigvalsh_calls == []
+
+    @pytest.mark.parametrize("n", [1, 6, 4096])
+    def test_edgeless_exactly_zero(self, n, eigvalsh_calls):
+        value = spectral_radius(gen_empty(n))
+        assert value == 0.0 and type(value) is float
+        assert eigvalsh_calls == []
+
+    def test_dense_random_against_long_double_rayleigh_quotient(self, eigvalsh_calls):
+        g = random_graph(1024, random.Random(1024))
+        value = spectral_radius(g)
+        assert eigvalsh_calls == []
+        # the Rayleigh quotient of eigh's eigenvector, evaluated in long
+        # double, is exact to far below float64 rounding
+        vec = np.linalg.eigh(g.adjacency.astype(float))[1][:, -1].astype(np.longdouble)
+        ref = vec @ (g.adjacency.astype(np.longdouble) @ vec) / (vec @ vec)
+        assert abs(np.longdouble(value) - ref) <= 2 * EPS * ref
+
+
+class TestSpectralRadiusFallback:
+    """Graphs on which the bracket stays open: eigvalsh's value exactly."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gen_path(40),
+            gen_path(300),
+            gen_random_tree(200, seed=7),
+            disjoint_union(gen_complete(5), gen_path(7)),
+            disjoint_union(gen_cycle(6), gen_empty(1)),
+        ],
+        ids=["P40", "P300", "tree200", "K5+P7", "C6+K1"],
+    )
+    def test_equals_eigvalsh(self, g, eigvalsh_calls):
+        value = spectral_radius(g)
+        assert eigvalsh_calls == [(g.n, g.n)]
+        assert value == eigvalsh_radius(g)
+
+
+class TestSpectralRadiusRandomGraphs:
+    """G(n, p) graphs land on either side; both agree with eigvalsh."""
+
+    def test_within_certificate_of_eigvalsh(self, rng):
+        for _ in range(60):
+            g = random_graph(rng.randint(1, 40), rng, p=rng.random())
+            value = spectral_radius(g)
+            assert abs(value - eigvalsh_radius(g)) <= 4 * g.n * EPS * max(value, 1.0)
 
 
 class TestComplementInvariance:
