@@ -152,16 +152,25 @@ class BoundScan:
     `check` evaluates a batch of pairs.  Pairs whose hypotheses hold are
     counted in `checked` and enter the extrema: the minimum slack, and the
     maximum actual/bound ratio over positive bounds.  Each extremum keeps
-    the first pair attaining it, decoded only when it becomes the extremum,
-    so a scan in pair-index order keeps the lowest index on ties.
+    the position of the first pair attaining it, its two pools and row
+    indices, so a scan in pair-index order keeps the lowest index on ties.
+    `slack_pair` and `ratio_pair` decode that pair when read.
     """
 
     kind: ProductKind
     checked: int = 0
     min_slack: Optional[int] = None
-    slack_pair: Optional[Tuple[Graph, Graph]] = None
     max_ratio: Optional[Fraction] = None
-    ratio_pair: Optional[Tuple[Graph, Graph]] = None
+    _slack_at: Optional[Tuple[Operands, int, Operands, int]] = None
+    _ratio_at: Optional[Tuple[Operands, int, Operands, int]] = None
+
+    @property
+    def slack_pair(self) -> Optional[Tuple[Graph, Graph]]:
+        return _decode(self._slack_at)
+
+    @property
+    def ratio_pair(self) -> Optional[Tuple[Graph, Graph]]:
+        return _decode(self._ratio_at)
 
     def check(
         self, g: Operands, a: np.ndarray, h: Operands, b: np.ndarray
@@ -195,12 +204,9 @@ class BoundScan:
         if rows.size == 0:
             return actual, bound, ok
         self.checked += rows.size
-
-        def pair(i):
-            return lambda: (g.graph(a[i]), h.graph(b[i]))
-
         i = rows[np.argmin(slack[rows])]
-        ratio, j = None, None
+        if self.min_slack is None or slack[i] < self.min_slack:
+            self.min_slack, self._slack_at = int(slack[i]), (g, a[i], h, b[i])
         rows = rows[bound[rows] > 0]
         if rows.size:
             top = rows
@@ -211,22 +217,17 @@ class BoundScan:
                 top = rows[approx == approx.max()]
             exact = [Fraction(int(actual[r]), int(bound[r])) for r in top]
             ratio = max(exact)
-            j = top[exact.index(ratio)]
-        self._keep(int(slack[i]), pair(i), ratio, pair(j))
+            if self.max_ratio is None or ratio > self.max_ratio:
+                j = top[exact.index(ratio)]
+                self.max_ratio, self._ratio_at = ratio, (g, a[j], h, b[j])
         return actual, bound, ok
 
-    def merge(self, later: BoundScan) -> None:
-        """Fold in the scan of the pairs that come after this scan's."""
-        self.checked += later.checked
-        self._keep(
-            later.min_slack, lambda: later.slack_pair, later.max_ratio, lambda: later.ratio_pair
-        )
 
-    def _keep(self, slack, slack_pair, ratio, ratio_pair) -> None:
-        if slack is not None and (self.min_slack is None or slack < self.min_slack):
-            self.min_slack, self.slack_pair = slack, slack_pair()
-        if ratio is not None and (self.max_ratio is None or ratio > self.max_ratio):
-            self.max_ratio, self.ratio_pair = ratio, ratio_pair()
+def _decode(at: Optional[Tuple[Operands, int, Operands, int]]) -> Optional[Tuple[Graph, Graph]]:
+    if at is None:
+        return None
+    g, i, h, j = at
+    return g.graph(i), h.graph(j)
 
 
 def evaluate_bound(kind: ProductKind, g: Graph, h: Graph) -> BoundReport:

@@ -108,7 +108,9 @@ def _build_parser() -> _Parser:
     p_sw.add_argument("--op", required=True, choices=PRODUCT_TAGS)
     p_sw.add_argument("--n1", type=int, required=True)
     p_sw.add_argument("--n2", type=int, required=True)
-    p_sw.add_argument("--workers", type=int, default=1)
+    p_sw.add_argument(
+        "--workers", type=int, default=1, help="cap on worker processes, 1 to 256; a sweep starts none"
+    )
 
     p_pr = search_sub.add_parser("probe", help="randomized probe of the open tightness question")
     p_pr.add_argument("--op", required=True, choices=["disjunction", "symdiff"])
@@ -168,32 +170,25 @@ def _cmd_compute(args, out) -> None:
 
 def _cmd_gen(args, out) -> None:
     family, params = args.family, args.params
-
-    def one_param() -> int:
-        if len(params) != 1:
-            raise InputError(f"family {family!r} takes exactly one integer parameter")
-        check_graph6_size(params[0])
-        return params[0]
-
-    if family == "path":
-        g = gen_path(one_param())
-    elif family == "cycle":
-        g = gen_cycle(one_param())
-    elif family == "complete":
-        g = gen_complete(one_param())
-    elif family == "star":
-        g = gen_star(one_param())
-    elif family == "empty":
-        g = gen_empty(one_param())
-    elif family == "extremal":
-        g = gen_extremal_total_irr(one_param())
-    elif family == "multipartite":
+    if family == "multipartite":
         if not params:
             raise InputError("multipartite needs at least one part size")
         check_graph6_size(sum(params))
         g = gen_complete_multipartite(params)
-    else:  # tree
-        g = gen_random_tree(one_param(), args.seed)
+    else:
+        if len(params) != 1:
+            raise InputError(f"family {family!r} takes exactly one integer parameter")
+        check_graph6_size(params[0])
+        one_param = {
+            "path": gen_path,
+            "cycle": gen_cycle,
+            "complete": gen_complete,
+            "star": gen_star,
+            "empty": gen_empty,
+            "extremal": gen_extremal_total_irr,
+            "tree": lambda n: gen_random_tree(n, args.seed),
+        }
+        g = one_param[family](params[0])
     print(emit_graph6(g), file=out)
 
 

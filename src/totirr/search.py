@@ -5,9 +5,11 @@ Labeled graphs on n vertices are identified with integer codes
 upper-triangle adjacency entries in graph6 order; `formats.triangle_mask`
 owns that order and codes decode through `formats.graph_from_bits`.
 Enumeration, the brute-force maximum scan, and the bound sweeps all run
-over contiguous code ranges, so parallel runs partition the range into
-blocks and reduce with a lowest-index tie-break: results are
-byte-identical at any worker count.
+over contiguous code ranges.  The theorem1 scan partitions its range into
+blocks, one per worker process, and reduces with a lowest-code tie-break,
+so its result is byte-identical at any worker count.  A sweep checks at
+most 4 096 pairs, a few milliseconds of work, so it runs in one process
+whatever `workers` allows.
 
 Sweeps and the probe score operand pairs as rows.  Each side is a
 `bounds.Operands` pool of int64 degree rows, taken from the codes (sweep)
@@ -115,35 +117,24 @@ def _code_degrees(n: int, start: int, stop: int) -> np.ndarray:
     return bits @ _pair_incidence(n)
 
 
+def _first_max(results: List[Tuple[int, int]]) -> Tuple[int, int]:
+    """The (value, code) with the greatest value, the lowest code on ties."""
+    return max(results, key=lambda r: (r[0], -r[1]))
+
+
 def _theorem1_block(n: int, start: int, stop: int) -> Tuple[int, int]:
     """Max total irregularity and its lowest code over codes [start, stop)."""
-    best_val, best_code = -1, -1
+    results = []
     for lo in range(start, stop, _BLOCK):
         vals = total_irregularity_rows(_code_degrees(n, lo, min(lo + _BLOCK, stop)))
         idx = int(np.argmax(vals))
-        val = int(vals[idx])
-        if val > best_val:
-            best_val, best_code = val, lo + idx
-    return best_val, best_code
+        results.append((int(vals[idx]), lo + idx))
+    return _first_max(results)
 
 
-def _split_range(total: int, workers: int) -> List[Tuple[int, int]]:
-    """Contiguous, near-equal partition of [0, total) into at most
-    `workers` blocks."""
+def _check_workers(workers: int) -> None:
     if not 1 <= workers <= MAX_WORKERS:
         raise InputError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
-    workers = min(workers, total)
-    step = (total + workers - 1) // workers
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _map_blocks(block, tasks: List[tuple]) -> list:
-    """[block(*task) for task in tasks], in order.  Several tasks run in a
-    pool of at most one worker process per core."""
-    if len(tasks) == 1:
-        return [block(*tasks[0])]
-    with multiprocessing.Pool(min(len(tasks), os.cpu_count() or 1)) as pool:
-        return pool.starmap(block, tasks)
 
 
 def verify_theorem1(n: int, workers: int = 1, allow_large: bool = False) -> SearchOutcome:
@@ -158,13 +149,19 @@ def verify_theorem1(n: int, workers: int = 1, allow_large: bool = False) -> Sear
         raise InputError(
             f"n = {ENUM_MAX_N} scans 2^28 graphs; pass allow_large=True to confirm"
         )
+    _check_workers(workers)
     total = num_labeled_graphs(n)
-    results = _map_blocks(_theorem1_block, [(n, lo, hi) for lo, hi in _split_range(total, workers)])
-    # deterministic reduction: max value, lowest code on ties
-    best_val, best_code = -1, -1
-    for val, code in results:
-        if val > best_val or (val == best_val and code < best_code):
-            best_val, best_code = val, code
+    # contiguous, near-equal blocks, at most one per worker; the pool has
+    # at most one worker process per core
+    blocks = min(workers, total)
+    step = (total + blocks - 1) // blocks
+    tasks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    if len(tasks) == 1:
+        results = [_theorem1_block(*tasks[0])]
+    else:
+        with multiprocessing.Pool(min(len(tasks), os.cpu_count() or 1)) as pool:
+            results = pool.starmap(_theorem1_block, tasks)
+    best_val, best_code = _first_max(results)
     expected = bound_theorem1(n)
     if best_val != expected:
         raise FalsificationError(
@@ -195,20 +192,6 @@ def _labeled_operands(n: int) -> Operands:
     return Operands(n, degrees, lambda code: graph_from_code(n, code))
 
 
-def _sweep_block(kind_tag: str, n1: int, n2: int, start: int, stop: int) -> BoundScan:
-    """Check pair indices [start, stop) in order.
-
-    Pair index p maps to (code_g, code_h) = divmod(p, 2^k2).
-    """
-    g, h = _labeled_operands(n1), _labeled_operands(n2)
-    scan = BoundScan(ProductKind(kind_tag))
-    step = _batch_rows(n1, n2)
-    for lo in range(start, stop, step):
-        a, b = np.divmod(np.arange(lo, min(lo + step, stop)), len(h))
-        scan.check(g, a, h, b)
-    return scan
-
-
 def sweep_operation_bounds(
     kind: ProductKind, n1: int, n2: int, workers: int = 1
 ) -> SearchOutcome:
@@ -217,20 +200,22 @@ def sweep_operation_bounds(
 
     Reports the minimum slack among hypothesis-satisfying pairs (zero
     confirms a sharpness witness inside the swept universe) and the max
-    actual/bound ratio over pairs with positive bound.
+    actual/bound ratio over pairs with positive bound.  Runs in one
+    process: `workers` is validated as for verify_theorem1, but at most
+    4 096 pairs need no worker process.
     """
     kind = ProductKind(kind)
     if not (1 <= n1 <= 4 and 1 <= n2 <= 4):
         raise InputError(f"exhaustive sweeps support n1, n2 in [1, 4], got {n1}, {n2}")
-    total = num_labeled_graphs(n1) * num_labeled_graphs(n2)
-    results = _map_blocks(
-        _sweep_block, [(kind.value, n1, n2, lo, hi) for lo, hi in _split_range(total, workers)]
-    )
-    # blocks come back in index order, so merging them in turn keeps the
-    # lowest pair index on ties, as a single block would
-    scan = results[0]
-    for part in results[1:]:
-        scan.merge(part)
+    _check_workers(workers)
+    g, h = _labeled_operands(n1), _labeled_operands(n2)
+    total = len(g) * len(h)
+    scan = BoundScan(kind)
+    step = _batch_rows(n1, n2)
+    # pair index p is (code_g, code_h) = divmod(p, 2^k2), checked in order
+    for lo in range(0, total, step):
+        a, b = np.divmod(np.arange(lo, min(lo + step, total)), len(h))
+        scan.check(g, a, h, b)
     return SearchOutcome(
         task="sweep",
         n1=n1,

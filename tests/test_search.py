@@ -12,6 +12,7 @@ from totirr import (
     InputError,
     ProductKind,
     bound_theorem1,
+    emit_graph6,
     enumerate_labeled_graphs,
     gen_complete,
     gen_empty,
@@ -117,6 +118,20 @@ class TestSweep:
     def test_size_cap(self):
         with pytest.raises(InputError):
             sweep_operation_bounds(ProductKind.JOIN, 5, 2)
+
+    def test_decodes_only_the_witness(self, monkeypatch):
+        # cartesian has no connectivity hypothesis, so no pool operand is
+        # decoded to test it; only the reported slack pair is
+        decoded = []
+
+        def spy(n, code):
+            decoded.append((n, code))
+            return graph_from_code(n, code)
+
+        monkeypatch.setattr(search, "graph_from_code", spy)
+        outcome = sweep_operation_bounds(ProductKind.CARTESIAN, 4, 4)
+        assert len(decoded) == 2
+        assert tuple(emit_graph6(graph_from_code(*x)) for x in decoded) == outcome.witness
 
 
 class TestProbe:
@@ -226,4 +241,15 @@ class TestWorkers:
         assert sweep_operation_bounds(ProductKind.JOIN, 3, 2, workers=8) == (
             sweep_operation_bounds(ProductKind.JOIN, 3, 2, workers=1)
         )
-        assert sizes == [size, size]
+        # only theorem1 starts a pool; sweeps run in one process
+        assert sizes == [size]
+
+    @pytest.mark.parametrize("workers", [2, 8, 256])
+    def test_sweep_starts_no_pool(self, workers, monkeypatch):
+        single = sweep_operation_bounds(ProductKind.JOIN, 4, 4, workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep started a process pool")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        assert sweep_operation_bounds(ProductKind.JOIN, 4, 4, workers=workers) == single
