@@ -101,7 +101,9 @@ def _build_parser() -> _Parser:
 
     p_t1 = search_sub.add_parser("theorem1", help="exhaustive max total irregularity")
     p_t1.add_argument("--n", type=int, required=True)
-    p_t1.add_argument("--workers", type=int, default=1)
+    p_t1.add_argument(
+        "--workers", type=int, default=1, help="validated, 1 to 256, but no effect: the scan runs in one process"
+    )
     p_t1.add_argument("--allow-large", action="store_true", help="opt into n = 8 (2^28 graphs)")
 
     p_sw = search_sub.add_parser("sweep", help="exhaustive bound sweep over operand pairs")
@@ -109,7 +111,7 @@ def _build_parser() -> _Parser:
     p_sw.add_argument("--n1", type=int, required=True)
     p_sw.add_argument("--n2", type=int, required=True)
     p_sw.add_argument(
-        "--workers", type=int, default=1, help="cap on worker processes, 1 to 256; a sweep starts none"
+        "--workers", type=int, default=1, help="validated, 1 to 256, but no effect: the sweep runs in one process"
     )
 
     p_pr = search_sub.add_parser("probe", help="randomized probe of the open tightness question")
@@ -201,8 +203,11 @@ def _cmd_op(args, out) -> None:
     composite = apply_product(kind, g, h)
     text = emit_graph6(composite)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from None
     else:
         print(text, file=out)
 

@@ -5,11 +5,13 @@ Labeled graphs on n vertices are identified with integer codes
 upper-triangle adjacency entries in graph6 order; `formats.triangle_mask`
 owns that order and codes decode through `formats.graph_from_bits`.
 Enumeration, the brute-force maximum scan, and the bound sweeps all run
-over contiguous code ranges.  The theorem1 scan partitions its range into
-blocks, one per worker process, and reduces with a lowest-code tie-break,
-so its result is byte-identical at any worker count.  A sweep checks at
-most 4 096 pairs, a few milliseconds of work, so it runs in one process
-whatever `workers` allows.
+over contiguous code ranges, in the calling process.  A graph's degrees
+are linear in its code bits, so the theorem1 scan takes each block of
+_BLOCK codes as the degree row of its high bits plus one table of the
+low bits, shared by all blocks, and keeps the lowest code of the
+maximum.  `workers` is validated (1 to 256) but has no effect: the scan
+and the sweeps start no process, so their output is the same at any
+worker count.
 
 Sweeps and the probe score operand pairs as rows.  Each side is a
 `bounds.Operands` pool of int64 degree rows, taken from the codes (sweep)
@@ -21,8 +23,6 @@ needs, a witness, or a falsification.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +50,7 @@ from .products import ProductKind, apply_product  # noqa: F401
 ENUM_MAX_N = 8
 MAX_WORKERS = 256
 MAX_PROBE_SAMPLES = 10**7
+# codes per theorem1 block; a power of two, so blocks share one table
 _BLOCK = 1 << 16
 # array cells per batch of operand-pair rows (sweep and probe)
 _BATCH_CELLS = 1 << 14
@@ -109,27 +110,14 @@ def _pair_incidence(n: int) -> np.ndarray:
     return one_hot[rows] + one_hot[cols]
 
 
-def _code_degrees(n: int, start: int, stop: int) -> np.ndarray:
-    """Degree rows of the graphs with codes [start, stop) on n vertices."""
-    k = n * (n - 1) // 2
-    codes = np.arange(start, stop, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(k - 1, -1, -1, dtype=np.int64)[None, :]) & 1
-    return bits @ _pair_incidence(n)
-
-
-def _first_max(results: List[Tuple[int, int]]) -> Tuple[int, int]:
-    """The (value, code) with the greatest value, the lowest code on ties."""
-    return max(results, key=lambda r: (r[0], -r[1]))
-
-
-def _theorem1_block(n: int, start: int, stop: int) -> Tuple[int, int]:
-    """Max total irregularity and its lowest code over codes [start, stop)."""
-    results = []
-    for lo in range(start, stop, _BLOCK):
-        vals = total_irregularity_rows(_code_degrees(n, lo, min(lo + _BLOCK, stop)))
-        idx = int(np.argmax(vals))
-        results.append((int(vals[idx]), lo + idx))
-    return _first_max(results)
+def _bit_degrees(incidence: np.ndarray) -> np.ndarray:
+    """Degree rows of all 2^m bit strings over the m pairs that are the
+    rows of `incidence`, first row most significant, in order of value."""
+    degrees = np.zeros((1, incidence.shape[1]), dtype=np.int64)
+    # a leading 1 adds its pair to each string of the bits after it
+    for pair in incidence[::-1]:
+        degrees = np.concatenate([degrees, degrees + pair])
+    return degrees
 
 
 def _check_workers(workers: int) -> None:
@@ -142,6 +130,7 @@ def verify_theorem1(n: int, workers: int = 1, allow_large: bool = False) -> Sear
     on n vertices and check it equals the closed-form bound.
 
     A mismatch would falsify the bound and raises FalsificationError.
+    Runs in one process: `workers` is validated but has no effect.
     """
     if not 2 <= n <= ENUM_MAX_N:
         raise InputError(f"verify_theorem1 supports 2 <= n <= {ENUM_MAX_N}, got {n}")
@@ -151,17 +140,18 @@ def verify_theorem1(n: int, workers: int = 1, allow_large: bool = False) -> Sear
         )
     _check_workers(workers)
     total = num_labeled_graphs(n)
-    # contiguous, near-equal blocks, at most one per worker; the pool has
-    # at most one worker process per core
-    blocks = min(workers, total)
-    step = (total + blocks - 1) // blocks
-    tasks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if len(tasks) == 1:
-        results = [_theorem1_block(*tasks[0])]
-    else:
-        with multiprocessing.Pool(min(len(tasks), os.cpu_count() or 1)) as pool:
-            results = pool.starmap(_theorem1_block, tasks)
-    best_val, best_code = _first_max(results)
+    incidence = _pair_incidence(n)
+    # code i * len(low) + j has the high bits of i and the low bits of j,
+    # so its degrees are the sum of their rows: one table serves every i
+    split = max(0, len(incidence) - (_BLOCK.bit_length() - 1))
+    low = _bit_degrees(incidence[split:])
+    best_val, best_code = -1, 0
+    for i, high in enumerate(_bit_degrees(incidence[:split])):
+        vals = total_irregularity_rows(high + low)
+        idx = int(np.argmax(vals))
+        # strictly greater: on ties the earlier block's lower code stays
+        if vals[idx] > best_val:
+            best_val, best_code = int(vals[idx]), i * len(low) + idx
     expected = bound_theorem1(n)
     if best_val != expected:
         raise FalsificationError(
@@ -188,8 +178,7 @@ def _batch_rows(n1: int, n2: int) -> int:
 
 def _labeled_operands(n: int) -> Operands:
     """Every labeled graph on n vertices, row i the graph with code i."""
-    degrees = _code_degrees(n, 0, num_labeled_graphs(n))
-    return Operands(n, degrees, lambda code: graph_from_code(n, code))
+    return Operands(n, _bit_degrees(_pair_incidence(n)), lambda code: graph_from_code(n, code))
 
 
 def sweep_operation_bounds(
@@ -201,8 +190,8 @@ def sweep_operation_bounds(
     Reports the minimum slack among hypothesis-satisfying pairs (zero
     confirms a sharpness witness inside the swept universe) and the max
     actual/bound ratio over pairs with positive bound.  Runs in one
-    process: `workers` is validated as for verify_theorem1, but at most
-    4 096 pairs need no worker process.
+    process: `workers` is validated as for verify_theorem1 but has no
+    effect.
     """
     kind = ProductKind(kind)
     if not (1 <= n1 <= 4 and 1 <= n2 <= 4):

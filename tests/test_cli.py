@@ -85,6 +85,15 @@ def test_op_output_file(tmp_path):
     assert parse_graph6(out.read_text().strip()).m == 1
 
 
+@pytest.mark.parametrize("target", ["missing/out.g6", "."], ids=["no-such-dir", "a-directory"])
+def test_op_unwritable_output_exits_1(target, tmp_path, capsys):
+    out = tmp_path / target
+    code, text = run_cli("op", "join", "@", "@", "-o", str(out))
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+
+
 def test_bound_cartesian_tight():
     p4 = emit_graph6(gen_path(4))
     c3 = emit_graph6(gen_cycle(3))

@@ -1,5 +1,4 @@
 import multiprocessing
-import os
 import random
 import types
 from fractions import Fraction
@@ -65,12 +64,14 @@ class TestEnumeration:
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_pair_incidence_gives_degrees(n):
-    # bits exactly as _theorem1_block takes them from the codes
+    # the code bits, most significant first, as rows of a bit matrix
     k = n * (n - 1) // 2
     codes = np.arange(num_labeled_graphs(n), dtype=np.int64)
     bits = (codes[:, None] >> np.arange(k - 1, -1, -1, dtype=np.int64)[None, :]) & 1
-    degrees = [graph_from_code(n, int(c)).degrees() for c in codes]
-    assert (bits @ _pair_incidence(n)).tolist() == [list(d) for d in degrees]
+    degrees = [list(graph_from_code(n, int(c)).degrees()) for c in codes]
+    assert (bits @ _pair_incidence(n)).tolist() == degrees
+    # and as the theorem1 table and the sweep pools build them, bit by bit
+    assert search._bit_degrees(_pair_incidence(n)).tolist() == degrees
 
 
 class TestVerifyTheorem1:
@@ -89,6 +90,14 @@ class TestVerifyTheorem1:
         single = verify_theorem1(6, workers=1)
         multi = verify_theorem1(6, workers=4)
         assert single == multi
+
+    @pytest.mark.parametrize("block", [1, 4, 64])
+    def test_block_size_invariant(self, block, monkeypatch):
+        # every block shares the low-bit degree table, and ties across
+        # blocks keep the lowest code of the maximum
+        default = [verify_theorem1(n) for n in range(3, 7)]
+        monkeypatch.setattr(search, "_BLOCK", block)
+        assert [verify_theorem1(n) for n in range(3, 7)] == default
 
 
 class TestSweep:
@@ -217,39 +226,15 @@ class TestWorkers:
         with pytest.raises(InputError, match="workers"):
             sweep_operation_bounds(ProductKind.JOIN, 2, 2, workers=workers)
 
-    @pytest.mark.parametrize("cores,size", [(2, 2), (None, 1), (64, 8)])
-    def test_pool_has_at_most_one_process_per_core(self, cores, size, monkeypatch):
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, fn, tasks):
-                return [fn(*task) for task in tasks]
-
-        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        # eight blocks are still scanned and reduced, whatever the pool size
-        assert verify_theorem1(5, workers=8) == verify_theorem1(5, workers=1)
-        assert sweep_operation_bounds(ProductKind.JOIN, 3, 2, workers=8) == (
-            sweep_operation_bounds(ProductKind.JOIN, 3, 2, workers=1)
-        )
-        # only theorem1 starts a pool; sweeps run in one process
-        assert sizes == [size]
-
     @pytest.mark.parametrize("workers", [2, 8, 256])
     def test_sweep_starts_no_pool(self, workers, monkeypatch):
+        # theorem1 and sweeps both run in one process at any worker count
         single = sweep_operation_bounds(ProductKind.JOIN, 4, 4, workers=1)
+        scan = verify_theorem1(6)
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a sweep started a process pool")
+            raise AssertionError("a search started a process pool")
 
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         assert sweep_operation_bounds(ProductKind.JOIN, 4, 4, workers=workers) == single
+        assert verify_theorem1(6, workers=workers) == scan
