@@ -9,6 +9,11 @@ x(0,1), x(0,2), x(1,2), x(0,3), ...  Padding bits must be zero.
 `triangle_mask` is the one place that knows this bit order (by symmetry,
 the strict lower triangle read row-major): the codec, `graph_from_bits`
 and the enumeration codes in `search` all go through it.
+
+Four sextets are three whole bytes, so the codec regroups the payload's
+sextets 4 -> 3 bytes (and back) and moves bits with one flat
+`np.unpackbits` / `np.packbits`, most significant first as graph6 has
+them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import EdgeListParseError, Graph6ParseError, InputError
-from .graph import Graph, from_edge_list
+from .graph import SYMMETRY_TILE, Graph, from_edge_list
 
 MAX_GRAPH6_N = 4096
 
@@ -38,10 +43,32 @@ def triangle_mask(n: int) -> np.ndarray:
 def graph_from_bits(n: int, bits: Union[Sequence[int], np.ndarray]) -> Graph:
     """The graph on n vertices whose n(n-1)/2 upper-triangle adjacency
     bits, in graph6 order, are `bits` (0/1 or booleans)."""
-    mask = triangle_mask(n)
     adj = np.zeros((n, n), dtype=bool)
-    adj[mask] = adj.T[mask] = np.asarray(bits, dtype=bool)  # both triangles
+    adj[triangle_mask(n)] = np.asarray(bits, dtype=bool)
+    # mirror the lower triangle into the upper one a tile at a time (see
+    # SYMMETRY_TILE); the diagonal tiles' upper halves are still zero
+    t = SYMMETRY_TILE
+    for i in range(0, n, t):
+        for j in range(0, i + 1, t):
+            adj[j : j + t, i : i + t] |= adj[i : i + t, j : j + t].T
     return Graph(adj)
+
+
+def _sextets_to_bytes(sextets: np.ndarray) -> np.ndarray:
+    """The bytes whose bits, most significant first, are the low six bits
+    of each uint8 sextet in turn, zero-padded to whole groups of 4 sextets
+    (3 bytes).  uint8 shifts drop the bits shifted out of the byte."""
+    s = np.zeros(-(-sextets.size // 4) * 4, dtype=np.uint8)
+    s[: sextets.size] = sextets
+    s0, s1, s2, s3 = s.reshape(-1, 4).T
+    return np.stack([s0 << 2 | s1 >> 4, s1 << 4 | s2 >> 2, s2 << 6 | s3], axis=1).ravel()
+
+
+def _bytes_to_sextets(data: np.ndarray) -> np.ndarray:
+    """Inverse of _sextets_to_bytes for a whole number of 3-byte groups:
+    each group's 24 bits as 4 sextets."""
+    b0, b1, b2 = data.reshape(-1, 3).T
+    return np.stack([b0 >> 2, (b0 & 3) << 4 | b1 >> 4, (b1 & 15) << 2 | b2 >> 6, b2 & 63], axis=1).ravel()
 
 
 def _check_byte(b: int, offset: int) -> int:
@@ -91,9 +118,8 @@ def parse_graph6(s: str) -> Graph:
     bad = np.flatnonzero((payload < 63) | (payload > 126))
     if bad.size:
         _check_byte(int(payload[bad[0]]), pos + int(bad[0]))
-    # the low six bits of each byte-63, most significant first
-    bits = np.unpackbits((payload - 63)[:, None], axis=1)[:, 2:].ravel()
-    if bits[k:].any():  # padding fills part of the last byte only
+    bits = np.unpackbits(_sextets_to_bytes(payload - 63))
+    if bits[k:].any():  # the payload's padding, then the regrouping's zeros
         raise Graph6ParseError("nonzero padding bit", pos + nbytes - 1)
     return graph_from_bits(n, bits[:k])
 
@@ -118,9 +144,9 @@ def emit_graph6(g: Graph) -> str:
         out.append(((n >> 6) & 63) + 63)
         out.append((n & 63) + 63)
     k = n * (n - 1) // 2
-    bits = np.zeros(-(-k // 6) * 6, dtype=bool)  # zero padding to whole bytes
+    bits = np.zeros(-(-k // 24) * 24, dtype=bool)  # zero padding to whole 3-byte groups
     bits[:k] = g.adjacency[triangle_mask(n)]
-    payload = (np.packbits(bits.reshape(-1, 6), axis=1) >> 2) + 63
+    payload = _bytes_to_sextets(np.packbits(bits))[: -(-k // 6)] + 63
     return (bytes(out) + payload.tobytes()).decode("ascii")
 
 

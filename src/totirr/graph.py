@@ -14,8 +14,10 @@ from .errors import InputError
 
 
 # side of the square tiles in which _is_symmetric compares a matrix with its
-# transpose: a tile and its mirror stay in cache, where a whole-matrix
-# transpose of a large graph is a strided pass through memory
+# transpose and formats.graph_from_bits mirrors the lower triangle: a tile
+# and its mirror stay in cache, where a whole-matrix transpose of a large
+# graph is a strided pass through memory.  The edge indices in `indices`
+# pass the adjacency in row tiles of the same height.
 SYMMETRY_TILE = 256
 
 

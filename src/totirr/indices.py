@@ -1,10 +1,20 @@
 """Degree-based irregularity indices.
 
 Integer-valued indices (total irregularity, Albertson irregularity, both
-Zagreb indices) are exact.  The edge indices are int64 gathers over the
-upper-triangle endpoints, and the second Zagreb index is d^T (A d) / 2 in
-int64: every sum is below n^4/2, which int64 holds for n < 65 536, far
-above the graph6 cap of 4096 vertices.  Degree variance and the
+Zagreb indices) are exact, and none builds a list of edges; the two edge
+sums pass over the adjacency in row tiles of graph.SYMMETRY_TILE rows.
+
+- Albertson irregularity: rank the vertices by a stable argsort of the
+  degrees and let L_u count u's neighbours of lower rank.  Each edge then
+  counts once as +d at its higher-ranked end and once as -d at the other,
+  and tied degrees cancel, so irr = sum_u d_u (L_u - (d_u - L_u))
+  = 2 d.L - d.d in int64.
+- Second Zagreb index: d^T (A d) / 2.  Each tile's A d is a float64 matvec
+  whose entries are integers below n^2 (exact in float64 far beyond the
+  cap); it is cast to int64 before its dot with d.
+
+Every int64 sum above is below n^4/2, which int64 holds for n < 65 536,
+far above the graph6 cap of 4096 vertices.  Degree variance and the
 Collatz-Sinogowitz index are the only floating-point quantities.  The
 largest eigenvalue behind the latter is certified by a Collatz-Wielandt
 bracket on a power iteration, O(n^2) per step, and comes from the O(n^3)
@@ -16,11 +26,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import SYMMETRY_TILE, Graph
 
 # power-iteration steps (two matvecs each) before spectral_radius falls
 # back to the eigensolver
@@ -68,17 +78,25 @@ def total_irregularity_naive(g: Graph) -> int:
     return total
 
 
-def _degrees_and_edges(g: Graph) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
-    """The int64 degree vector and the endpoint arrays (u, v), u < v, of
-    every edge."""
-    return np.array(g.degrees(), dtype=np.int64), np.nonzero(np.triu(g.adjacency, 1))
-
-
 def irregularity(g: Graph) -> int:
     """Albertson irregularity (third Zagreb index): sum of edge imbalances
-    |d(u) - d(v)| over edges."""
-    deg, (u, v) = _degrees_and_edges(g)
-    return int(np.abs(deg[u] - deg[v]).sum())
+    |d(u) - d(v)| over edges.
+
+    Computed as 2 d.L - d.d in int64, where L_u counts u's neighbours
+    that come before u in a stable argsort of the degrees, over row tiles:
+    an edge's later end has the larger or an equal degree, so the edge
+    adds d_later - d_earlier.
+    """
+    n = g.n
+    deg = np.array(g.degrees(), dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    lower = np.empty(n, dtype=np.int64)
+    t = SYMMETRY_TILE
+    for lo in range(0, n, t):
+        tile = slice(lo, lo + t)
+        lower[tile] = (g.adjacency[tile] & (rank[None, :] < rank[tile, None])).sum(axis=1)
+    return int(2 * deg @ lower - deg @ deg)
 
 
 def zagreb_m1(g: Graph) -> int:
@@ -89,15 +107,27 @@ def zagreb_m1(g: Graph) -> int:
 def zagreb_m1_edge_form(g: Graph) -> int:
     """First Zagreb index via the edge form sum over uv of d(u) + d(v);
     must agree with the vertex form on every graph."""
-    deg, (u, v) = _degrees_and_edges(g)
+    deg = np.array(g.degrees(), dtype=np.int64)
+    u, v = np.nonzero(np.triu(g.adjacency, 1))
     return int((deg[u] + deg[v]).sum())
 
 
 def zagreb_m2(g: Graph) -> int:
     """Second Zagreb index: sum of d(u)*d(v) over edges, as d^T (A d) / 2
-    in int64 (each edge counted from both ends)."""
+    (each edge counted from both ends).
+
+    A d is a float64 matvec per row tile, exact because its entries are
+    integers below n^2; it is cast to int64 before the dot with d, so the
+    sum is exact in int64.
+    """
     deg = np.array(g.degrees(), dtype=np.int64)
-    return int(deg @ (g.adjacency @ deg)) // 2
+    fdeg = deg.astype(np.float64)
+    t = SYMMETRY_TILE
+    total = sum(
+        int((g.adjacency[lo : lo + t].astype(np.float64) @ fdeg).astype(np.int64) @ deg[lo : lo + t])
+        for lo in range(0, g.n, t)
+    )
+    return total // 2
 
 
 def degree_variance(g: Graph) -> float:

@@ -275,6 +275,8 @@ def probe_open_problem(
         raise InputError(f"samples must be >= 0, got {samples}")
     if samples > MAX_PROBE_SAMPLES:
         raise InputError(f"samples must be <= {MAX_PROBE_SAMPLES}, got {samples}")
+    if n1 < 1 or n2 < 1:
+        raise InputError(f"probe requires n1, n2 >= 1, got {n1}, {n2}")
     if n1 * n2 > 4096:
         raise InputError(f"probe requires n1*n2 <= 4096, got {n1 * n2}")
     rng = random.Random(seed)

@@ -273,6 +273,15 @@ def test_probe_sample_cap(monkeypatch, capsys):
     assert code == 1 and text == ""
     assert capsys.readouterr().err == f"error: samples must be <= 10000000, got {samples}\n"
 
+
+@pytest.mark.parametrize("n1,n2", [("-100", "-100"), ("0", "4097"), ("4", "0")])
+def test_probe_rejects_sizes_below_one(n1, n2, capsys):
+    code, text = run_cli(
+        "search", "probe", "--op", "symdiff", "--n1", n1, "--n2", n2, "--samples", "1", "--seed", "0",
+    )
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == f"error: probe requires n1, n2 >= 1, got {n1}, {n2}\n"
+
 @pytest.mark.parametrize("n", ["4", "4096"], ids=["flushed-at-end", "written-in-command"])
 def test_closed_stdout_exits_1_without_traceback(n):
     # the pipe's read end is closed before the command writes anything, so

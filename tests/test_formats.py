@@ -21,6 +21,7 @@ from totirr import (
     parse_graph6,
     parse_record,
 )
+from totirr.formats import graph_from_bits, triangle_mask
 from totirr.search import enumerate_labeled_graphs, graph_from_code
 
 from conftest import random_graph
@@ -168,6 +169,63 @@ class TestGraph6RoundTrip:
             g = parse_graph6(s)
             assert g.n == ref_graph.number_of_nodes()
             assert set(g.edges()) == {tuple(sorted(e)) for e in ref_graph.edges()}
+
+
+# k = n(n-1)/2 takes 16 residues mod 24 (the bits in a group of 4 payload
+# bytes), with period 48 in n: the smallest n for each, and the same n + 96,
+# which has an extended header
+RESIDUE_NS = sorted({n * (n - 1) // 2 % 24: n for n in range(48, 0, -1)}.values())
+
+
+def padding_width(n):
+    return -(n * (n - 1) // 2) % 6
+
+
+class TestGraph6Regrouping:
+    def test_residues_cover_every_k_mod_24(self):
+        assert len(RESIDUE_NS) == len({n * (n - 1) // 2 % 24 for n in range(1, 4097)}) == 16
+
+    @pytest.mark.parametrize("n", RESIDUE_NS + [n + 96 for n in RESIDUE_NS])
+    def test_round_trip_and_networkx(self, n, rng):
+        for _ in range(3):
+            g = random_graph(n, rng)
+            s = emit_graph6(g)
+            ref = nx.to_graph6_bytes(nx.from_numpy_array(g.adjacency), header=False).decode().strip()
+            assert s == ref
+            assert parse_graph6(ref) == g
+
+    # triangular numbers are never 2 mod 3, so the last payload byte ends
+    # in 0, 2, 3 or 5 padding bits, never 1 or 4
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_each_nonzero_padding_bit_rejected(self, width):
+        ns = [n for n in range(1, 4097) if padding_width(n) == width]
+        if width in (1, 4):
+            assert ns == []
+            return
+        for n in (ns[0], next(n for n in ns if n > 62)):
+            s = emit_graph6(gen_complete(n))
+            last = ord(s[-1]) - 63
+            assert last & ((1 << width) - 1) == 0
+            for bit in range(width):
+                with pytest.raises(Graph6ParseError, match="padding") as exc:
+                    parse_graph6(s[:-1] + chr((last | 1 << bit) + 63))
+                assert exc.value.offset == len(s) - 1
+
+
+def graph_from_bits_by_transposed_scatter(n, bits):
+    """The adjacency from graph6-order bits by one scatter into each
+    triangle, the second through adj.T: the oracle for the tiled mirror."""
+    mask = triangle_mask(n)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[mask] = adj.T[mask] = np.asarray(bits, dtype=bool)
+    return adj
+
+
+# the mirror copies tiles of SYMMETRY_TILE = 256 rows and columns
+@pytest.mark.parametrize("n", [255, 256, 257, 513])
+def test_graph_from_bits_matches_transposed_scatter(n):
+    bits = np.random.default_rng(n).integers(0, 2, n * (n - 1) // 2).astype(bool)
+    assert np.array_equal(graph_from_bits(n, bits).adjacency, graph_from_bits_by_transposed_scatter(n, bits))
 
 
 def graph6_from_code(n, code):

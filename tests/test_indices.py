@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totirr import (
+    Graph,
     collatz_sinogowitz,
     complement,
     degree_variance,
@@ -112,15 +113,68 @@ class TestZagreb:
             assert zagreb_m1(g) == zagreb_m1_edge_form(g)
 
 
+def edge_loop_indices(g):
+    """(irr, m2, m1 edge form) summed edge by edge in Python: the oracle
+    for the tiled kernels."""
+    ds = g.degrees()
+    edges = list(g.edges())
+    return (
+        sum(abs(ds[u] - ds[v]) for u, v in edges),
+        sum(ds[u] * ds[v] for u, v in edges),
+        sum(ds[u] + ds[v] for u, v in edges),
+    )
+
+
+def with_isolated_vertices(g, step):
+    """g with every step-th vertex's edges removed, so that isolated
+    vertices fall in every row tile."""
+    adj = g.adjacency.copy()
+    adj[::step] = False
+    adj[:, ::step] = False
+    return Graph(adj)
+
+
+def tie_heavy_graphs(n, rng):
+    """Graphs on n vertices whose degrees mostly tie, plus a random one."""
+    return {
+        "cycle": gen_cycle(n),
+        "complete": gen_complete(n),
+        "bipartite": gen_complete_multipartite([n // 3, n - n // 3]),
+        "multipartite": gen_complete_multipartite([1, 2, n // 4, n // 3, n - 3 - n // 4 - n // 3]),
+        "star": gen_star(n),
+        "isolated": with_isolated_vertices(random_graph(n, rng), 3),
+        "random": random_graph(n, rng),
+    }
+
+
 class TestEdgeIndicesAgainstEdgeLoop:
     def test_random_graphs(self, rng):
         for _ in range(60):
             g = random_graph(rng.randint(1, 40), rng)
-            ds = g.degrees()
-            edges = list(g.edges())
-            assert irregularity(g) == sum(abs(ds[u] - ds[v]) for u, v in edges)
-            assert zagreb_m2(g) == sum(ds[u] * ds[v] for u, v in edges)
-            assert zagreb_m1_edge_form(g) == sum(ds[u] + ds[v] for u, v in edges)
+            assert (irregularity(g), zagreb_m2(g), zagreb_m1_edge_form(g)) == edge_loop_indices(g)
+
+    # the kernels pass the adjacency in row tiles of SYMMETRY_TILE = 256
+    # rows: one tile short of full, one full, one plus a 1-row tile, two
+    # plus a 1-row tile
+    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    def test_across_tiles(self, n, rng):
+        for name, g in tie_heavy_graphs(n, rng).items():
+            expected = edge_loop_indices(g)
+            assert (irregularity(g), zagreb_m2(g), zagreb_m1_edge_form(g)) == expected, name
+
+
+class TestEdgeIndicesClosedFormsAtCap:
+    N = 4096
+
+    def test_star(self):
+        g = gen_star(self.N)
+        assert irregularity(g) == (self.N - 1) * (self.N - 2) == 16_764_930
+        assert zagreb_m2(g) == (self.N - 1) ** 2 == 16_769_025
+
+    def test_complete(self):
+        g = gen_complete(self.N)
+        assert irregularity(g) == 0
+        assert zagreb_m2(g) == math.comb(self.N, 2) * (self.N - 1) ** 2 == 140_634_434_304_000
 
 
 class TestDegreeVariance:

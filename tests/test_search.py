@@ -186,6 +186,13 @@ class TestProbe:
         with pytest.raises(InputError):
             probe_open_problem(ProductKind.SYMDIFF, 65, 64, samples=1, seed=0)
 
+    # sizes below 1 are rejected before the n1*n2 cap: -100 * -100 is under
+    # no cap, and 0 * 4097 is under it
+    @pytest.mark.parametrize("n1,n2", [(-100, -100), (0, 4097), (4, 0), (0, 0)])
+    def test_rejects_sizes_below_one(self, n1, n2):
+        with pytest.raises(InputError, match=f"probe requires n1, n2 >= 1, got {n1}, {n2}"):
+            probe_open_problem(ProductKind.SYMDIFF, n1, n2, samples=1, seed=0)
+
     def test_sample_cap_checked_before_sampling(self, monkeypatch):
         monkeypatch.setattr(search, "random", types.SimpleNamespace(Random=no_sampling))
         samples = MAX_PROBE_SAMPLES + 1
