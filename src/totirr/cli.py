@@ -50,6 +50,11 @@ INDEX_FUNCS = {
 
 PRODUCT_TAGS = [k.value for k in ProductKind]
 
+# the searches run in one process; --workers stays only because the
+# benchmark passes it
+MAX_WORKERS = 256
+WORKERS_HELP = f"checked (1 to {MAX_WORKERS}) but ignored; kept because the benchmark passes it"
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the contract here is 1
@@ -101,18 +106,14 @@ def _build_parser() -> _Parser:
 
     p_t1 = search_sub.add_parser("theorem1", help="exhaustive max total irregularity")
     p_t1.add_argument("--n", type=int, required=True)
-    p_t1.add_argument(
-        "--workers", type=int, default=1, help="validated, 1 to 256, but no effect: the scan runs in one process"
-    )
+    p_t1.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p_t1.add_argument("--allow-large", action="store_true", help="opt into n = 8 (2^28 graphs)")
 
     p_sw = search_sub.add_parser("sweep", help="exhaustive bound sweep over operand pairs")
     p_sw.add_argument("--op", required=True, choices=PRODUCT_TAGS)
     p_sw.add_argument("--n1", type=int, required=True)
     p_sw.add_argument("--n2", type=int, required=True)
-    p_sw.add_argument(
-        "--workers", type=int, default=1, help="validated, 1 to 256, but no effect: the sweep runs in one process"
-    )
+    p_sw.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
 
     p_pr = search_sub.add_parser("probe", help="randomized probe of the open tightness question")
     p_pr.add_argument("--op", required=True, choices=["disjunction", "symdiff"])
@@ -277,12 +278,12 @@ def _search_record(outcome: SearchOutcome) -> str:
 
 
 def _cmd_search(args, out) -> None:
+    if args.search_task != "probe" and not 1 <= args.workers <= MAX_WORKERS:
+        raise InputError(f"workers must be in [1, {MAX_WORKERS}], got {args.workers}")
     if args.search_task == "theorem1":
-        outcome = verify_theorem1(args.n, workers=args.workers, allow_large=args.allow_large)
+        outcome = verify_theorem1(args.n, allow_large=args.allow_large)
     elif args.search_task == "sweep":
-        outcome = sweep_operation_bounds(
-            ProductKind(args.op), args.n1, args.n2, workers=args.workers
-        )
+        outcome = sweep_operation_bounds(ProductKind(args.op), args.n1, args.n2)
     else:
         outcome = probe_open_problem(
             ProductKind(args.op), args.n1, args.n2, samples=args.samples, seed=args.seed

@@ -78,14 +78,8 @@ class Graph:
         """Degree of each vertex, indexed by vertex label."""
         return self._degrees
 
-    def degree(self, v: int) -> int:
-        return self._degrees[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._adj[u, v])
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return tuple(int(u) for u in np.flatnonzero(self._adj[v]))
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Unordered edges as (u, v) with u < v, in row-major order."""

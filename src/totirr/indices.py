@@ -38,19 +38,15 @@ PERRON_STEPS = 32
 
 
 def total_irregularity(degrees: Sequence[int]) -> int:
-    """Half the sum of |d(u) - d(v)| over all ordered vertex pairs.
-
-    Uses the sorted form: with d_(1) >= ... >= d_(n),
-    sum_i (n - 2i + 1) * d_(i).  O(n log n) and exact.
-    """
-    ds = sorted(degrees, reverse=True)
-    n = len(ds)
-    return sum((n - 2 * i - 1) * d for i, d in enumerate(ds))
+    """Half the sum of |d(u) - d(v)| over all ordered vertex pairs:
+    total_irregularity_rows on one row, as a Python int."""
+    return int(total_irregularity_rows(np.array([degrees], dtype=np.int64))[0])
 
 
 def total_irregularity_rows(degrees: np.ndarray) -> np.ndarray:
-    """total_irregularity of each row of a (rows, n) int64 degree matrix:
-    the ascending sort weighted by 2i - n - 1, i = 1..n.
+    """Total irregularity of each row of a (rows, n) int64 degree matrix:
+    the ascending sort weighted by 2i - n - 1, i = 1..n, O(n log n) per
+    row.  A row of width 0 gives 0.
 
     Exact: with degrees below n every term is below n^2, so a sum of
     2^62 / n^2 terms stays in int64.  Rows longer than that (n^3 > 2^62,
@@ -60,7 +56,7 @@ def total_irregularity_rows(degrees: np.ndarray) -> np.ndarray:
     n = degrees.shape[1]
     coeffs = 2 * np.arange(1, n + 1, dtype=np.int64) - n - 1
     ds = np.sort(degrees, axis=1)
-    step = 2**62 // n**2
+    step = 2**62 // max(n, 1) ** 2
     if step >= n:
         return ds @ coeffs
     return sum((ds[:, lo : lo + step] @ coeffs[lo : lo + step]).astype(object) for lo in range(0, n, step))

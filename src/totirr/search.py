@@ -9,9 +9,7 @@ over contiguous code ranges, in the calling process.  A graph's degrees
 are linear in its code bits, so the theorem1 scan takes each block of
 _BLOCK codes as the degree row of its high bits plus one table of the
 low bits, shared by all blocks, and keeps the lowest code of the
-maximum.  `workers` is validated (1 to 256) but has no effect: the scan
-and the sweeps start no process, so their output is the same at any
-worker count.
+maximum.
 
 Sweeps and the probe score operand pairs as rows.  Each side is a
 `bounds.Operands` pool of int64 degree rows, taken from the codes (sweep)
@@ -48,7 +46,6 @@ from .indices import graph_total_irregularity, total_irregularity_rows
 from .products import ProductKind, apply_product  # noqa: F401
 
 ENUM_MAX_N = 8
-MAX_WORKERS = 256
 MAX_PROBE_SAMPLES = 10**7
 # codes per theorem1 block; a power of two, so blocks share one table
 _BLOCK = 1 << 16
@@ -120,17 +117,11 @@ def _bit_degrees(incidence: np.ndarray) -> np.ndarray:
     return degrees
 
 
-def _check_workers(workers: int) -> None:
-    if not 1 <= workers <= MAX_WORKERS:
-        raise InputError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
-
-
-def verify_theorem1(n: int, workers: int = 1, allow_large: bool = False) -> SearchOutcome:
+def verify_theorem1(n: int, allow_large: bool = False) -> SearchOutcome:
     """Brute-force the maximum total irregularity over all labeled graphs
     on n vertices and check it equals the closed-form bound.
 
     A mismatch would falsify the bound and raises FalsificationError.
-    Runs in one process: `workers` is validated but has no effect.
     """
     if not 2 <= n <= ENUM_MAX_N:
         raise InputError(f"verify_theorem1 supports 2 <= n <= {ENUM_MAX_N}, got {n}")
@@ -138,7 +129,6 @@ def verify_theorem1(n: int, workers: int = 1, allow_large: bool = False) -> Sear
         raise InputError(
             f"n = {ENUM_MAX_N} scans 2^28 graphs; pass allow_large=True to confirm"
         )
-    _check_workers(workers)
     total = num_labeled_graphs(n)
     incidence = _pair_incidence(n)
     # code i * len(low) + j has the high bits of i and the low bits of j,
@@ -181,22 +171,17 @@ def _labeled_operands(n: int) -> Operands:
     return Operands(n, _bit_degrees(_pair_incidence(n)), lambda code: graph_from_code(n, code))
 
 
-def sweep_operation_bounds(
-    kind: ProductKind, n1: int, n2: int, workers: int = 1
-) -> SearchOutcome:
+def sweep_operation_bounds(kind: ProductKind, n1: int, n2: int) -> SearchOutcome:
     """Exhaustively check one operation's bound over every pair of labeled
     graphs on (n1, n2) vertices.
 
     Reports the minimum slack among hypothesis-satisfying pairs (zero
     confirms a sharpness witness inside the swept universe) and the max
-    actual/bound ratio over pairs with positive bound.  Runs in one
-    process: `workers` is validated as for verify_theorem1 but has no
-    effect.
+    actual/bound ratio over pairs with positive bound.
     """
     kind = ProductKind(kind)
     if not (1 <= n1 <= 4 and 1 <= n2 <= 4):
         raise InputError(f"exhaustive sweeps support n1, n2 in [1, 4], got {n1}, {n2}")
-    _check_workers(workers)
     g, h = _labeled_operands(n1), _labeled_operands(n2)
     total = len(g) * len(h)
     scan = BoundScan(kind)

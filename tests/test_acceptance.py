@@ -68,7 +68,7 @@ def test_criterion_1_theorem1_exhaustive():
     expected = {4: 6, 5: 14, 6: 26, 7: 44}
     start = time.monotonic()
     for n, value in expected.items():
-        outcome = verify_theorem1(n, workers=1)
+        outcome = verify_theorem1(n)
         assert outcome.max_value == value
         assert outcome.cases_examined == num_labeled_graphs(n)
         witness = parse_graph6(outcome.witness[0])

@@ -260,6 +260,25 @@ def test_workers_out_of_range(argv, workers, capsys):
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+@pytest.mark.parametrize(
+    "argv,workers",
+    [
+        (["search", "theorem1", "--n", "9"], "0"),
+        (["search", "sweep", "--op", "join", "--n1", "5", "--n2", "2"], "257"),
+        (["search", "theorem1", "--n", "8", "--allow-large"], "0"),
+    ],
+    ids=["theorem1-n9", "sweep-5x2", "theorem1-n8"],
+)
+def test_workers_checked_before_other_arguments_and_any_scan(argv, workers, monkeypatch, capsys):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan started before --workers was checked")
+
+    monkeypatch.setattr(totirr.search, "_bit_degrees", no_scan)
+    code, text = run_cli(*argv, "--workers", workers)
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == f"error: workers must be in [1, 256], got {workers}\n"
+
+
 def test_probe_sample_cap(monkeypatch, capsys):
     def no_sampling(seed):
         raise AssertionError("the probe started sampling")

@@ -28,6 +28,7 @@ from totirr import (
     zagreb_m1_edge_form,
     zagreb_m2,
 )
+from totirr.indices import total_irregularity_rows
 from totirr.search import enumerate_labeled_graphs
 
 from conftest import random_graph
@@ -60,6 +61,23 @@ class TestTotalIrregularity:
             for j in range(i + 1, len(degrees))
         )
         assert total_irregularity(degrees) == pairwise
+
+    def test_empty_sequence(self):
+        assert total_irregularity([]) == 0
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_rows_of_width_zero(self, rows):
+        assert total_irregularity_rows(np.zeros((rows, 0), dtype=np.int64)).tolist() == [0] * rows
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_rows_match_pairwise_sum(self, n):
+        # degrees drawn from fewer values than n, so most rows have ties
+        gen = np.random.default_rng(n)
+        degrees = gen.integers(0, max(1, n // 2), size=(50, n), dtype=np.int64)
+        got = total_irregularity_rows(degrees)
+        assert got.dtype == np.int64 and got.shape == (50,)
+        for row, value in zip(degrees.tolist(), got.tolist()):
+            assert value == sum(abs(a - b) for i, a in enumerate(row) for b in row[i + 1 :])
 
 
 class TestOracleEquivalence:

@@ -86,11 +86,6 @@ class TestVerifyTheorem1:
         witness = parse_graph6(outcome.witness[0])
         assert graph_total_irregularity(witness) == outcome.max_value
 
-    def test_workers_agree(self):
-        single = verify_theorem1(6, workers=1)
-        multi = verify_theorem1(6, workers=4)
-        assert single == multi
-
     @pytest.mark.parametrize("block", [1, 4, 64])
     def test_block_size_invariant(self, block, monkeypatch):
         # every block shares the low-bit degree table, and ties across
@@ -118,11 +113,6 @@ class TestSweep:
         assert outcome.cases_examined == 8 * 8
         assert outcome.min_slack is not None and outcome.min_slack >= 0
         assert outcome.max_ratio is not None and outcome.max_ratio <= 1
-
-    def test_workers_agree(self):
-        single = sweep_operation_bounds(ProductKind.STRONG, 3, 3, workers=1)
-        multi = sweep_operation_bounds(ProductKind.STRONG, 3, 3, workers=3)
-        assert single == multi
 
     def test_size_cap(self):
         with pytest.raises(InputError):
@@ -226,22 +216,14 @@ class TestRandomBits:
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("workers", [0, -1, 257])
-    def test_rejects_out_of_range(self, workers):
-        with pytest.raises(InputError, match="workers"):
-            verify_theorem1(4, workers=workers)
-        with pytest.raises(InputError, match="workers"):
-            sweep_operation_bounds(ProductKind.JOIN, 2, 2, workers=workers)
-
-    @pytest.mark.parametrize("workers", [2, 8, 256])
-    def test_sweep_starts_no_pool(self, workers, monkeypatch):
-        # theorem1 and sweeps both run in one process at any worker count
-        single = sweep_operation_bounds(ProductKind.JOIN, 4, 4, workers=1)
+    def test_sweep_starts_no_pool(self, monkeypatch):
+        # theorem1 and sweeps both run in the calling process
+        single = sweep_operation_bounds(ProductKind.JOIN, 4, 4)
         scan = verify_theorem1(6)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a search started a process pool")
 
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        assert sweep_operation_bounds(ProductKind.JOIN, 4, 4, workers=workers) == single
-        assert verify_theorem1(6, workers=workers) == scan
+        assert sweep_operation_bounds(ProductKind.JOIN, 4, 4) == single
+        assert verify_theorem1(6) == scan
