@@ -1,3 +1,4 @@
+import io
 import multiprocessing
 import random
 import types
@@ -24,6 +25,7 @@ from totirr import (
     verify_theorem1,
 )
 from totirr import search
+from totirr.cli import cli_main
 from totirr.search import MAX_PROBE_SAMPLES, _BATCH_CELLS, _pair_incidence, _random_bits
 
 
@@ -216,14 +218,23 @@ class TestRandomBits:
 
 
 class TestWorkers:
-    def test_sweep_starts_no_pool(self, monkeypatch):
-        # theorem1 and sweeps both run in the calling process
-        single = sweep_operation_bounds(ProductKind.JOIN, 4, 4)
-        scan = verify_theorem1(6)
+    @pytest.mark.parametrize("workers", [2, 8, 256])
+    def test_sweep_starts_no_pool(self, workers, monkeypatch):
+        # theorem1 and sweeps both run in the calling process; --workers,
+        # kept on the CLI, changes neither that nor the result
+        def run(*argv):
+            out = io.StringIO()
+            assert cli_main(["search", *argv], out=out) == 0
+            return out.getvalue()
+
+        sweep = ("sweep", "--op", "join", "--n1", "4", "--n2", "4", "--workers")
+        theorem1 = ("theorem1", "--n", "6", "--workers")
+        single = run(*sweep, "1")
+        scan = run(*theorem1, "1")
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a search started a process pool")
 
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        assert sweep_operation_bounds(ProductKind.JOIN, 4, 4) == single
-        assert verify_theorem1(6) == scan
+        assert run(*sweep, str(workers)) == single
+        assert run(*theorem1, str(workers)) == scan
