@@ -53,7 +53,6 @@ from .products import (
 )
 from .search import (
     SearchOutcome,
-    enumerate_labeled_graphs,
     graph_from_code,
     num_labeled_graphs,
     probe_open_problem,

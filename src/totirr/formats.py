@@ -191,7 +191,7 @@ def parse_edge_list(text: str) -> Graph:
         u, v = int(tokens[0]), int(tokens[1])
         if u == v:
             raise EdgeListParseError(f"self-loop {u} {v}", lineno)
-        if n is not None and not (0 <= u < n and 0 <= v < n):
+        if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(f"endpoint outside [0, {n - 1}] in {raw.strip()!r}", lineno)
         edges.append((u, v))
     if n is None:

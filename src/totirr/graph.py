@@ -6,7 +6,7 @@ everywhere (every operation in this package presumes a nonempty vertex set).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -77,18 +77,6 @@ class Graph:
     def degrees(self) -> Tuple[int, ...]:
         """Degree of each vertex, indexed by vertex label."""
         return self._degrees
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u, v])
-
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        """Unordered edges as (u, v) with u < v, in row-major order."""
-        rows, cols = np.nonzero(np.triu(self._adj, k=1))
-        for u, v in zip(rows, cols):
-            yield int(u), int(v)
-
-    def is_regular(self) -> bool:
-        return len(set(self._degrees)) <= 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

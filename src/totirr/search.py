@@ -4,12 +4,11 @@ Labeled graphs on n vertices are identified with integer codes
 0 .. 2^(n(n-1)/2)-1 whose bits, most significant first, are the
 upper-triangle adjacency entries in graph6 order; `formats.triangle_mask`
 owns that order and codes decode through `formats.graph_from_bits`.
-Enumeration, the brute-force maximum scan, and the bound sweeps all run
-over contiguous code ranges, in the calling process.  A graph's degrees
-are linear in its code bits, so the theorem1 scan takes each block of
-_BLOCK codes as the degree row of its high bits plus one table of the
-low bits, shared by all blocks, and keeps the lowest code of the
-maximum.
+The brute-force maximum scan and the bound sweeps run over contiguous
+code ranges, in the calling process.  A graph's degrees are linear in
+its code bits, so the theorem1 scan takes each block of _BLOCK codes as
+the degree row of its high bits plus one table of the low bits, shared
+by all blocks, and keeps the lowest code of the maximum.
 
 Sweeps and the probe score operand pairs as rows.  Each side is a
 `bounds.Operands` pool of int64 degree rows, taken from the codes (sweep)
@@ -24,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -66,22 +65,6 @@ def graph_from_code(n: int, code: int) -> Graph:
     width = (k + 7) // 8
     bits = np.unpackbits(np.frombuffer(code.to_bytes(width, "big"), dtype=np.uint8))
     return graph_from_bits(n, bits[8 * width - k :])
-
-
-def enumerate_labeled_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices, exactly once, in
-    lexicographic order of the upper-triangle bit string.
-
-    n = 8 means 2^28 graphs and must be opted into via allow_large.
-    """
-    if not 1 <= n <= ENUM_MAX_N:
-        raise InputError(f"enumeration supports 1 <= n <= {ENUM_MAX_N}, got {n}")
-    if n == ENUM_MAX_N and not allow_large:
-        raise InputError(
-            f"n = {ENUM_MAX_N} enumerates 2^28 graphs; pass allow_large=True to confirm"
-        )
-    for code in range(num_labeled_graphs(n)):
-        yield graph_from_code(n, code)
 
 
 @dataclass(frozen=True)
@@ -249,9 +232,10 @@ def probe_open_problem(
     exact (actual = bound = n1^3 th, or n2^3 tg), so min_slack is 0 and
     max_ratio is 1 once an operand has 3 or more vertices, and sampled
     pairs add only falsification checks and `cases`.  A nondegenerate
-    tightness measure is ROADMAP.md item 3.  Samples are scored in
-    batches of rows, without a Graph per sample.  Fully reproducible from
-    the seed; gathers evidence only, proves nothing.
+    tightness measure is the ROADMAP.md item on exact tightness of the
+    bounds.  Samples are scored in batches of rows, without a Graph per
+    sample.  Fully reproducible from the seed; gathers evidence only,
+    proves nothing.
     """
     kind = ProductKind(kind)
     if kind not in (ProductKind.DISJUNCTION, ProductKind.SYMDIFF):

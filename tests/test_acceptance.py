@@ -38,7 +38,8 @@ from totirr import (
     zagreb_m1_edge_form,
 )
 from totirr.cli import cli_main
-from totirr.search import enumerate_labeled_graphs, graph_from_code
+
+from conftest import labeled_graphs
 
 SEEDS = [11, 22, 33, 44, 55]
 
@@ -123,10 +124,7 @@ def test_criterion_4_soundness_sweep():
     checked = 0
     for kind in ProductKind:
         cap = 4 if kind in (ProductKind.JOIN, ProductKind.CARTESIAN, ProductKind.DIRECT) else 3
-        pools = {
-            n: [graph_from_code(n, c) for c in range(num_labeled_graphs(n))]
-            for n in range(1, cap + 1)
-        }
+        pools = {n: labeled_graphs(n) for n in range(1, cap + 1)}
         for n1 in range(1, cap + 1):
             for n2 in range(1, cap + 1):
                 for g in pools[n1]:
@@ -148,7 +146,7 @@ def test_criterion_4_soundness_sweep():
 
 
 def test_criterion_5_oracle_equivalence():
-    for g in enumerate_labeled_graphs(5):
+    for g in labeled_graphs(5):
         assert graph_total_irregularity(g) == total_irregularity_naive(g)
     for g in random_universe():
         assert graph_total_irregularity(g) == total_irregularity_naive(g)
@@ -163,14 +161,13 @@ def test_criterion_6_identity_suite():
         expected_var = m1 / g.n - (2 * g.m / g.n) ** 2
         assert degree_variance(g) == pytest.approx(expected_var, rel=1e-9, abs=1e-12)
 
-    for g in enumerate_labeled_graphs(5):
+    for g in labeled_graphs(5):
         check(g)
     for g in random_universe():
         check(g)
 
     # product degree identities, vertexwise against real adjacencies
-    pools3 = [graph_from_code(3, c) for c in range(num_labeled_graphs(3))]
-    pairs = list(itertools.product(pools3, pools3))
+    pairs = list(itertools.product(labeled_graphs(3), labeled_graphs(3)))
     rng = np.random.default_rng(13579)
     for _ in range(200):
         pairs.append(
@@ -205,7 +202,7 @@ def test_criterion_7_complete_multipartite():
 
 def test_criterion_8_graph6_round_trip():
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             s = emit_graph6(g)
             assert parse_graph6(s) == g
             assert emit_graph6(parse_graph6(s)) == s

@@ -11,7 +11,6 @@ from totirr import (
     bound_theorem1,
     bounds,
     emit_graph6,
-    enumerate_labeled_graphs,
     evaluate_bound,
     gen_complete,
     gen_cycle,
@@ -30,7 +29,7 @@ from totirr.bounds import INT64_MAX_PAIR, BoundScan, Operands, _bound_formula
 from totirr.formats import graph_from_bits
 from totirr.search import _deterministic_battery, _labeled_operands
 
-from conftest import random_graph
+from conftest import labeled_graphs, random_graph
 
 K1 = gen_empty(1)
 
@@ -273,8 +272,8 @@ class TestRowScanAgainstScalarOracle:
             rng = np.random.default_rng(n1 * 10 + n2)
             pairs = rng.permutation(np.concatenate([pairs, rng.choice(pairs, size=len(pairs))]))
         a, b = np.divmod(pairs, len(h))
-        graphs_g = list(enumerate_labeled_graphs(n1))
-        graphs_h = list(enumerate_labeled_graphs(n2))
+        graphs_g = labeled_graphs(n1)
+        graphs_h = labeled_graphs(n2)
         expected = scalar_scan(kind, [(graphs_g[i], graphs_h[j]) for i, j in zip(a, b)])
         for batch in (1, 7, len(a)):
             assert row_scan(kind, g, a, h, b, batch) == expected, batch

@@ -279,6 +279,25 @@ def test_workers_checked_before_other_arguments_and_any_scan(argv, workers, monk
     assert capsys.readouterr().err == f"error: workers must be in [1, 256], got {workers}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--n", "1"], "verify_theorem1 supports 2 <= n <= 8, got 1"),
+        (["--n", "9"], "verify_theorem1 supports 2 <= n <= 8, got 9"),
+        (["--n", "8"], "n = 8 scans 2^28 graphs; pass allow_large=True to confirm"),
+    ],
+    ids=["n1", "n9", "n8-without-allow-large"],
+)
+def test_theorem1_range_checked_before_any_scan(argv, message, monkeypatch, capsys):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan started before n was checked")
+
+    monkeypatch.setattr(totirr.search, "_bit_degrees", no_scan)
+    code, text = run_cli("search", "theorem1", *argv)
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_probe_sample_cap(monkeypatch, capsys):
     def no_sampling(seed):
         raise AssertionError("the probe started sampling")

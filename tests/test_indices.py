@@ -29,9 +29,8 @@ from totirr import (
     zagreb_m2,
 )
 from totirr.indices import total_irregularity_rows
-from totirr.search import enumerate_labeled_graphs
 
-from conftest import random_graph
+from conftest import edges, labeled_graphs, random_graph
 
 
 class TestTotalIrregularity:
@@ -82,7 +81,7 @@ class TestTotalIrregularity:
 
 class TestOracleEquivalence:
     def test_exhaustive_n4(self):
-        for g in enumerate_labeled_graphs(4):
+        for g in labeled_graphs(4):
             assert graph_total_irregularity(g) == total_irregularity_naive(g)
 
     def test_random_graphs(self, rng):
@@ -135,11 +134,11 @@ def edge_loop_indices(g):
     """(irr, m2, m1 edge form) summed edge by edge in Python: the oracle
     for the tiled kernels."""
     ds = g.degrees()
-    edges = list(g.edges())
+    pairs = edges(g)
     return (
-        sum(abs(ds[u] - ds[v]) for u, v in edges),
-        sum(ds[u] * ds[v] for u, v in edges),
-        sum(ds[u] + ds[v] for u, v in edges),
+        sum(abs(ds[u] - ds[v]) for u, v in pairs),
+        sum(ds[u] * ds[v] for u, v in pairs),
+        sum(ds[u] + ds[v] for u, v in pairs),
     )
 
 
@@ -352,7 +351,7 @@ class TestSpectralRadiusRandomGraphs:
 
 class TestComplementInvariance:
     def test_exhaustive_n4(self):
-        for g in enumerate_labeled_graphs(4):
+        for g in labeled_graphs(4):
             assert graph_total_irregularity(complement(g)) == graph_total_irregularity(g)
 
     def test_random(self, rng):

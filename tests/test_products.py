@@ -84,7 +84,7 @@ def test_degree_multiset_commutes(op, rng):
 def test_regular_operands_give_regular_composite(op):
     for g, h in [(gen_cycle(3), gen_cycle(4)), (gen_complete(3), gen_cycle(5))]:
         composite = op(g, h)
-        assert composite.is_regular()
+        assert len(set(composite.degrees())) == 1
         assert graph_total_irregularity(composite) == 0
 
 
@@ -131,7 +131,7 @@ class TestCartesian:
         g = cartesian(gen_complete(2), gen_complete(2))
         # labeling (u, v) -> 2u + v makes the 4-cycle 0-1-3-2-0
         assert g.m == 4 and g.degrees() == (2, 2, 2, 2)
-        assert not g.has_edge(0, 3) and not g.has_edge(1, 2)
+        assert not g.adjacency[0, 3] and not g.adjacency[1, 2]
 
 
 class TestStrong:

@@ -13,7 +13,6 @@ from totirr import (
     ProductKind,
     bound_theorem1,
     emit_graph6,
-    enumerate_labeled_graphs,
     gen_complete,
     gen_empty,
     graph_from_code,
@@ -28,26 +27,19 @@ from totirr import search
 from totirr.cli import cli_main
 from totirr.search import MAX_PROBE_SAMPLES, _BATCH_CELLS, _pair_incidence, _random_bits
 
+from conftest import labeled_graphs
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 8), (5, 1024)])
     def test_counts(self, n, count):
         assert num_labeled_graphs(n) == count
-        assert sum(1 for _ in enumerate_labeled_graphs(n)) == count
+        # each set bit of a code is one edge
+        assert [g.m for g in labeled_graphs(n)] == [bin(c).count("1") for c in range(count)]
 
     def test_no_duplicates(self):
-        graphs = list(enumerate_labeled_graphs(4))
-        assert len(set(graphs)) == len(graphs)
-
-    def test_out_of_range(self):
-        with pytest.raises(InputError):
-            list(enumerate_labeled_graphs(0))
-        with pytest.raises(InputError):
-            list(enumerate_labeled_graphs(9))
-
-    def test_n8_requires_opt_in(self):
-        with pytest.raises(InputError, match="allow_large"):
-            next(enumerate_labeled_graphs(8))
+        # 2^6 distinct graphs are all the labeled graphs on 4 vertices
+        assert len(set(labeled_graphs(4))) == num_labeled_graphs(4) == 64
 
     @pytest.mark.parametrize("n,code", [(2, 2), (4, 64), (4, 256), (4, -1), (1, 1), (0, 0), (-1, 0)])
     def test_code_out_of_range(self, n, code):
@@ -60,8 +52,8 @@ class TestEnumeration:
         assert graph_from_code(n, num_labeled_graphs(n) - 1) == gen_complete(n)
 
     def test_lexicographic_order(self):
-        graphs = list(enumerate_labeled_graphs(2))
-        assert graphs[0].m == 0 and graphs[1].m == 1
+        # at n = 4 the 6 graph6 bits fill one data byte, 63 + the code
+        assert [emit_graph6(g) for g in labeled_graphs(4)] == ["C" + chr(63 + c) for c in range(64)]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -95,6 +87,18 @@ class TestVerifyTheorem1:
         default = [verify_theorem1(n) for n in range(3, 7)]
         monkeypatch.setattr(search, "_BLOCK", block)
         assert [verify_theorem1(n) for n in range(3, 7)] == default
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [(1, "supports 2 <= n <= 8, got 1"), (9, "supports 2 <= n <= 8, got 9"), (8, "allow_large")],
+    )
+    def test_rejects_before_any_scan(self, n, message, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("a scan started")
+
+        monkeypatch.setattr(search, "_bit_degrees", no_scan)
+        with pytest.raises(InputError, match=message):
+            verify_theorem1(n)
 
 
 class TestSweep:
