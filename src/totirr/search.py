@@ -8,7 +8,11 @@ The brute-force maximum scan and the bound sweeps run over contiguous
 code ranges, in the calling process.  A graph's degrees are linear in
 its code bits, so the theorem1 scan takes each block of _BLOCK codes as
 the degree row of its high bits plus one table of the low bits, shared
-by all blocks, and keeps the lowest code of the maximum.
+by all blocks, and keeps the lowest code of the maximum.  The table is
+int16, one row per vertex and one column per code: a Batcher odd-even
+merge network (`_sorting_network`) sorts every code's degrees at once,
+one `np.minimum`/`np.maximum` pair per comparator, and irr_t is the
+weighted sum of the sorted rows.
 
 Sweeps and the probe score operand pairs as rows.  Each side is a
 `bounds.Operands` pool of int64 degree rows, taken from the codes (sweep)
@@ -38,13 +42,13 @@ from .families import (
     gen_star,
 )
 from .graph import Graph
-from .indices import graph_total_irregularity, total_irregularity_rows
+from .indices import graph_total_irregularity
 
 # apply_product is not called here; perfbench/tracing.py wraps the name
 # totirr.search.apply_product, so it stays importable from this module
 from .products import ProductKind, apply_product  # noqa: F401
 
-ENUM_MAX_N = 8
+THEOREM1_MAX_N = 8
 MAX_PROBE_SAMPLES = 10**7
 # codes per theorem1 block; a power of two, so blocks share one table
 _BLOCK = 1 << 16
@@ -92,39 +96,94 @@ def _pair_incidence(n: int) -> np.ndarray:
 
 def _bit_degrees(incidence: np.ndarray) -> np.ndarray:
     """Degree rows of all 2^m bit strings over the m pairs that are the
-    rows of `incidence`, first row most significant, in order of value."""
-    degrees = np.zeros((1, incidence.shape[1]), dtype=np.int64)
+    rows of `incidence`, first row most significant, in order of value,
+    in the dtype of `incidence`."""
+    degrees = np.zeros((1, incidence.shape[1]), dtype=incidence.dtype)
     # a leading 1 adds its pair to each string of the bits after it
     for pair in incidence[::-1]:
         degrees = np.concatenate([degrees, degrees + pair])
     return degrees
 
 
+def _sorting_network(n: int) -> List[Tuple[int, int]]:
+    """Comparators (i, j), i < j, of Batcher's odd-even merge sort on n
+    wires, in order: after each puts the smaller value on wire i, every
+    input ends ascending (Batcher 1968; Knuth, TAOCP vol. 3, 5.2.2
+    Algorithm M and 5.3.4).  1, 3, 5, 9, 12, 16, 19 comparators for
+    n = 2..8."""
+    network = []
+    # Knuth's p = 2^(t-1), with t = ceil(lg n) passes
+    top = 1 << (n - 1).bit_length() >> 1
+    p = top
+    while p:
+        q, r, d = top, 0, p
+        while True:
+            network += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return network
+
+
+def _block_irregularity(columns: np.ndarray, network: List[Tuple[int, int]]) -> np.ndarray:
+    """Total irregularity of each column of an (n, codes) degree table,
+    n >= 1, in its dtype; `network` is `_sorting_network(n)`.  Overwrites
+    `columns`.
+
+    int16 is exact for n <= 8: degrees are at most 7 and the
+    coefficients' sizes sum to 32, so no partial sum exceeds 224 in size.
+    """
+    n = len(columns)
+    wires = list(columns)
+    spare = np.empty_like(wires[0])
+    for i, j in network:
+        np.minimum(wires[i], wires[j], out=spare)
+        np.maximum(wires[i], wires[j], out=wires[j])
+        wires[i], spare = spare, wires[i]
+    # sum over ascending k of (2k - n - 1) d_k, paired as (n + 1 - 2k)(d_(n+1-k) - d_k)
+    irr = np.zeros_like(spare)
+    for k in range(n // 2):
+        np.subtract(wires[n - 1 - k], wires[k], out=spare)
+        spare *= n - 1 - 2 * k
+        irr += spare
+    return irr
+
+
 def verify_theorem1(n: int, allow_large: bool = False) -> SearchOutcome:
     """Brute-force the maximum total irregularity over all labeled graphs
     on n vertices and check it equals the closed-form bound.
 
-    A mismatch would falsify the bound and raises FalsificationError.
+    Each block of codes is one int16 table, a row per vertex and a
+    column per code, scored by `_block_irregularity`; the witness is the
+    lowest code of the maximum.  A mismatch would falsify the bound and
+    raises FalsificationError.
     """
-    if not 2 <= n <= ENUM_MAX_N:
-        raise InputError(f"verify_theorem1 supports 2 <= n <= {ENUM_MAX_N}, got {n}")
-    if n == ENUM_MAX_N and not allow_large:
+    if not 2 <= n <= THEOREM1_MAX_N:
+        raise InputError(f"verify_theorem1 supports 2 <= n <= {THEOREM1_MAX_N}, got {n}")
+    if n == THEOREM1_MAX_N and not allow_large:
         raise InputError(
-            f"n = {ENUM_MAX_N} scans 2^28 graphs; pass allow_large=True to confirm"
+            f"n = {THEOREM1_MAX_N} scans 2^28 graphs; pass allow_large=True to confirm"
         )
     total = num_labeled_graphs(n)
-    incidence = _pair_incidence(n)
-    # code i * len(low) + j has the high bits of i and the low bits of j,
+    # degrees are below n <= 8, so int16 degrees and irr_t sums are exact
+    incidence = _pair_incidence(n).astype(np.int16)
+    # code i * width + j has the high bits of i and the low bits of j,
     # so its degrees are the sum of their rows: one table serves every i
     split = max(0, len(incidence) - (_BLOCK.bit_length() - 1))
-    low = _bit_degrees(incidence[split:])
+    # a copy, not a .T view: each comparator then streams two contiguous rows
+    low = np.ascontiguousarray(_bit_degrees(incidence[split:]).T)
+    width = low.shape[1]
+    network = _sorting_network(n)
+    block = np.empty_like(low)
     best_val, best_code = -1, 0
     for i, high in enumerate(_bit_degrees(incidence[:split])):
-        vals = total_irregularity_rows(high + low)
+        np.add(low, high[:, None], out=block)
+        vals = _block_irregularity(block, network)
         idx = int(np.argmax(vals))
         # strictly greater: on ties the earlier block's lower code stays
         if vals[idx] > best_val:
-            best_val, best_code = int(vals[idx]), i * len(low) + idx
+            best_val, best_code = int(vals[idx]), i * width + idx
     expected = bound_theorem1(n)
     if best_val != expected:
         raise FalsificationError(

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from totirr import (
-    FalsificationError,
     InputError,
     ProductKind,
     bound_theorem1,
@@ -25,7 +24,16 @@ from totirr import (
 )
 from totirr import search
 from totirr.cli import cli_main
-from totirr.search import MAX_PROBE_SAMPLES, _BATCH_CELLS, _pair_incidence, _random_bits
+from totirr.indices import total_irregularity_rows
+from totirr.search import (
+    MAX_PROBE_SAMPLES,
+    THEOREM1_MAX_N,
+    _BATCH_CELLS,
+    _block_irregularity,
+    _pair_incidence,
+    _random_bits,
+    _sorting_network,
+)
 
 from conftest import labeled_graphs
 
@@ -64,12 +72,47 @@ def test_pair_incidence_gives_degrees(n):
     bits = (codes[:, None] >> np.arange(k - 1, -1, -1, dtype=np.int64)[None, :]) & 1
     degrees = [list(graph_from_code(n, int(c)).degrees()) for c in codes]
     assert (bits @ _pair_incidence(n)).tolist() == degrees
-    # and as the theorem1 table and the sweep pools build them, bit by bit
-    assert search._bit_degrees(_pair_incidence(n)).tolist() == degrees
+    # and as the sweep pools (int64) and theorem1 tables (int16) build
+    # them, bit by bit
+    for dtype in (np.int64, np.int16):
+        table = search._bit_degrees(_pair_incidence(n).astype(dtype))
+        assert table.dtype == dtype and table.tolist() == degrees
+
+
+class TestSortingNetwork:
+    @pytest.mark.parametrize("n", range(2, THEOREM1_MAX_N + 1))
+    def test_sorts_every_zero_one_input(self, n):
+        # the 0-1 principle: a comparator network that sorts all 2^n 0/1
+        # vectors sorts every input
+        for code in range(1 << n):
+            wires = [code >> t & 1 for t in range(n)]
+            for i, j in _sorting_network(n):
+                assert i < j
+                wires[i], wires[j] = min(wires[i], wires[j]), max(wires[i], wires[j])
+            assert wires == sorted(wires)
+
+    def test_comparator_counts(self):
+        assert [len(_sorting_network(n)) for n in range(2, 9)] == [1, 3, 5, 9, 12, 16, 19]
+
+
+class TestBlockIrregularity:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_labeled_graph(self, n):
+        rows = search._bit_degrees(_pair_incidence(n))
+        columns = np.ascontiguousarray(rows.T.astype(np.int16))
+        got = _block_irregularity(columns, _sorting_network(n))
+        assert got.dtype == np.int16
+        assert got.tolist() == total_irregularity_rows(rows).tolist()
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_random_rows(self, n):
+        rows = np.random.default_rng(1729 + n).integers(0, n, size=(5000, n))
+        got = _block_irregularity(rows.T.astype(np.int16), _sorting_network(n))
+        assert got.tolist() == total_irregularity_rows(rows).tolist()
 
 
 class TestVerifyTheorem1:
-    @pytest.mark.parametrize("n,expected", [(4, 6), (5, 14), (6, 26)])
+    @pytest.mark.parametrize("n,expected", [(2, 0), (3, 2), (4, 6), (5, 14), (6, 26), (7, 44)])
     def test_maxima(self, n, expected):
         outcome = verify_theorem1(n)
         assert outcome.max_value == expected == bound_theorem1(n)
