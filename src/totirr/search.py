@@ -8,10 +8,13 @@ The brute-force maximum scan and the bound sweeps run over contiguous
 code ranges, in the calling process.  A graph's degrees are linear in
 its code bits, so the theorem1 scan takes each block of _BLOCK codes as
 the degree row of its high bits plus one table of the low bits, shared
-by all blocks, and keeps the lowest code of the maximum.  The table is
-int16, one row per vertex and one column per code: a Batcher odd-even
-merge network (`_sorting_network`) sorts every code's degrees at once,
-one `np.minimum`/`np.maximum` pair per comparator, and irr_t is the
+by all blocks, and keeps the lowest code of the maximum.  A graph and
+its complement have the same irr_t (degrees d -> n-1-d), so the scan
+scores only the codes whose most significant bit is 0: every other
+code's complement is lower.  The table is int8, one row per vertex and
+one column per code: a Batcher odd-even merge network
+(`_sorting_network`) sorts every code's degrees at once, one
+`np.minimum`/`np.maximum` pair per comparator, and irr_t is the
 weighted sum of the sorted rows.
 
 Sweeps and the probe score operand pairs as rows.  Each side is a
@@ -31,7 +34,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import FalsificationError, InputError
+from .errors import FalsificationError, InputError, InternalError
 from .bounds import BoundScan, Operands, bound_theorem1
 from .formats import emit_graph6, graph_from_bits, triangle_mask
 from .families import (
@@ -131,8 +134,9 @@ def _block_irregularity(columns: np.ndarray, network: List[Tuple[int, int]]) -> 
     n >= 1, in its dtype; `network` is `_sorting_network(n)`.  Overwrites
     `columns`.
 
-    int16 is exact for n <= 8: degrees are at most 7 and the
-    coefficients' sizes sum to 32, so no partial sum exceeds 224 in size.
+    int8 is exact for n <= 8: degrees are at most 7, every term
+    (n + 1 - 2k)(d_(n+1-k) - d_k) is nonnegative, and the coefficients
+    7 + 5 + 3 + 1 sum to 16, so no partial sum exceeds 112.
     """
     n = len(columns)
     wires = list(columns)
@@ -154,10 +158,15 @@ def verify_theorem1(n: int, allow_large: bool = False) -> SearchOutcome:
     """Brute-force the maximum total irregularity over all labeled graphs
     on n vertices and check it equals the closed-form bound.
 
-    Each block of codes is one int16 table, a row per vertex and a
-    column per code, scored by `_block_irregularity`; the witness is the
-    lowest code of the maximum.  A mismatch would falsify the bound and
-    raises FalsificationError.
+    Only the codes below 2^(k-1), k = n(n-1)/2, are scored: each code
+    above has a lower complement with the same irr_t, so the maximum and
+    its lowest code are those of all 2^k graphs, and `cases` counts them
+    all, half scored and half covered by their complements.  Each block
+    of codes is one int8 table, a row per vertex and a column per code,
+    scored by `_block_irregularity`; the witness is the lowest code of
+    the maximum.  A mismatch would falsify the bound and raises
+    FalsificationError; a witness that does not reproduce the maximum
+    raises InternalError.
     """
     if not 2 <= n <= THEOREM1_MAX_N:
         raise InputError(f"verify_theorem1 supports 2 <= n <= {THEOREM1_MAX_N}, got {n}")
@@ -166,8 +175,9 @@ def verify_theorem1(n: int, allow_large: bool = False) -> SearchOutcome:
             f"n = {THEOREM1_MAX_N} scans 2^28 graphs; pass allow_large=True to confirm"
         )
     total = num_labeled_graphs(n)
-    # degrees are below n <= 8, so int16 degrees and irr_t sums are exact
-    incidence = _pair_incidence(n).astype(np.int16)
+    # the most significant pair is dropped: only its 0 half is scored.
+    # Degrees are below n <= 8, so int8 degrees and irr_t sums are exact
+    incidence = _pair_incidence(n)[1:].astype(np.int8)
     # code i * width + j has the high bits of i and the low bits of j,
     # so its degrees are the sum of their rows: one table serves every i
     split = max(0, len(incidence) - (_BLOCK.bit_length() - 1))
@@ -190,7 +200,8 @@ def verify_theorem1(n: int, allow_large: bool = False) -> SearchOutcome:
             f"exhaustive max irr_t at n={n} is {best_val}, formula says {expected}"
         )
     witness = graph_from_code(n, best_code)
-    assert graph_total_irregularity(witness) == best_val
+    if graph_total_irregularity(witness) != best_val:
+        raise InternalError(f"theorem1 witness code {best_code} at n={n} does not give {best_val}")
     return SearchOutcome(
         task="theorem1",
         n1=n,

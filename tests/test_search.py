@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from totirr import (
+    FalsificationError,
     InputError,
+    InternalError,
     ProductKind,
     bound_theorem1,
     emit_graph6,
@@ -72,9 +74,9 @@ def test_pair_incidence_gives_degrees(n):
     bits = (codes[:, None] >> np.arange(k - 1, -1, -1, dtype=np.int64)[None, :]) & 1
     degrees = [list(graph_from_code(n, int(c)).degrees()) for c in codes]
     assert (bits @ _pair_incidence(n)).tolist() == degrees
-    # and as the sweep pools (int64) and theorem1 tables (int16) build
+    # and as the sweep pools (int64) and theorem1 tables (int8) build
     # them, bit by bit
-    for dtype in (np.int64, np.int16):
+    for dtype in (np.int64, np.int16, np.int8):
         table = search._bit_degrees(_pair_incidence(n).astype(dtype))
         assert table.dtype == dtype and table.tolist() == degrees
 
@@ -99,16 +101,45 @@ class TestBlockIrregularity:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_labeled_graph(self, n):
         rows = search._bit_degrees(_pair_incidence(n))
-        columns = np.ascontiguousarray(rows.T.astype(np.int16))
-        got = _block_irregularity(columns, _sorting_network(n))
-        assert got.dtype == np.int16
-        assert got.tolist() == total_irregularity_rows(rows).tolist()
+        for dtype in (np.int16, np.int8):
+            columns = np.ascontiguousarray(rows.T.astype(dtype))
+            got = _block_irregularity(columns, _sorting_network(n))
+            assert got.dtype == dtype
+            assert got.tolist() == total_irregularity_rows(rows).tolist()
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_random_rows(self, n):
         rows = np.random.default_rng(1729 + n).integers(0, n, size=(5000, n))
-        got = _block_irregularity(rows.T.astype(np.int16), _sorting_network(n))
+        for dtype in (np.int16, np.int8):
+            got = _block_irregularity(rows.T.astype(dtype), _sorting_network(n))
+            assert got.dtype == dtype
+            assert got.tolist() == total_irregularity_rows(rows).tolist()
+
+    @pytest.mark.parametrize("n", range(2, THEOREM1_MAX_N + 1))
+    def test_extreme_rows_in_int8(self, n):
+        # rows of 0s and (n-1)s, the largest weighted sums of any degrees
+        codes = np.arange(1 << n)
+        rows = (n - 1) * (codes[:, None] >> np.arange(n) & 1)
+        got = _block_irregularity(rows.T.astype(np.int8), _sorting_network(n))
+        assert got.dtype == np.int8
         assert got.tolist() == total_irregularity_rows(rows).tolist()
+
+    def test_int8_holds_every_partial_sum_at_the_cap(self):
+        # the terms (n + 1 - 2k)(d_(n+1-k) - d_k) are nonnegative, so the
+        # largest partial sum is the whole sum with every difference n - 1;
+        # raising THEOREM1_MAX_N past int8's reach fails here
+        n = THEOREM1_MAX_N
+        largest = (n - 1) * sum(n + 1 - 2 * k for k in range(1, n // 2 + 1))
+        assert largest <= np.iinfo(np.int8).max
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_complements_cover_the_upper_half(n):
+    # code c's complement is 2^k - 1 - c, the same rows in reverse, so
+    # the lowest code of the maximum has top bit 0
+    irr = total_irregularity_rows(search._bit_degrees(_pair_incidence(n)))
+    assert irr.tolist() == irr[::-1].tolist()
+    assert int(np.argmax(irr)) < num_labeled_graphs(n) // 2
 
 
 class TestVerifyTheorem1:
@@ -122,6 +153,35 @@ class TestVerifyTheorem1:
         outcome = verify_theorem1(5)
         witness = parse_graph6(outcome.witness[0])
         assert graph_total_irregularity(witness) == outcome.max_value
+
+    def test_bad_witness_raises_internal_error(self, monkeypatch, capsys):
+        # a scorer that reports the bound at code 0, the edgeless graph:
+        # the maximum matches, its witness does not, under python -O too
+        def bound_at_code_0(columns, network):
+            vals = np.zeros(columns.shape[1], dtype=columns.dtype)
+            vals[0] = bound_theorem1(len(columns))
+            return vals
+
+        monkeypatch.setattr(search, "_block_irregularity", bound_at_code_0)
+        with pytest.raises(InternalError, match="witness code 0 at n=5") as excinfo:
+            verify_theorem1(5)
+        assert not isinstance(excinfo.value, FalsificationError)
+        assert cli_main(["search", "theorem1", "--n", "5"], out=io.StringIO()) == 2
+        assert capsys.readouterr().err.startswith("internal error: theorem1 witness")
+
+    def test_scores_only_the_lower_half(self, monkeypatch):
+        # 2^21 graphs at n = 7; the 2^20 with the top bit set are covered
+        # by their complements
+        scored = []
+        score = search._block_irregularity
+
+        def spy(columns, network):
+            scored.append(columns.shape[1])
+            return score(columns, network)
+
+        monkeypatch.setattr(search, "_block_irregularity", spy)
+        assert verify_theorem1(7).cases_examined == 1 << 21
+        assert sum(scored) == 1 << 20
 
     @pytest.mark.parametrize("block", [1, 4, 64])
     def test_block_size_invariant(self, block, monkeypatch):
