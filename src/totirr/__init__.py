@@ -25,7 +25,7 @@ from .families import (
     gen_star,
 )
 from .formats import emit_graph6, format_record, parse_edge_list, parse_graph6, parse_record
-from .graph import Graph, complement, disjoint_union, from_edge_list, is_connected
+from .graph import Graph, complement, from_edge_list, is_connected
 from .indices import (
     collatz_sinogowitz,
     degree_variance,
@@ -33,9 +33,7 @@ from .indices import (
     irregularity,
     spectral_radius,
     total_irregularity,
-    total_irregularity_naive,
     zagreb_m1,
-    zagreb_m1_edge_form,
     zagreb_m2,
 )
 from .products import (
@@ -47,7 +45,6 @@ from .products import (
     disjunction,
     join,
     lexicographic,
-    product_degrees,
     strong,
     symmetric_difference,
 )

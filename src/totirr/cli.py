@@ -91,7 +91,6 @@ def _build_parser() -> _Parser:
     p_op.add_argument("kind", choices=PRODUCT_TAGS)
     p_op.add_argument("a", help="left operand, graph6")
     p_op.add_argument("b", help="right operand, graph6")
-    p_op.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
     p_bound = sub.add_parser("bound", help="evaluate a theorem bound")
     p_bound.set_defaults(run=_cmd_bound)
@@ -107,7 +106,6 @@ def _build_parser() -> _Parser:
     p_t1 = search_sub.add_parser("theorem1", help="exhaustive max total irregularity")
     p_t1.add_argument("--n", type=int, required=True)
     p_t1.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p_t1.add_argument("--allow-large", action="store_true", help="opt into n = 8 (2^28 graphs)")
 
     p_sw = search_sub.add_parser("sweep", help="exhaustive bound sweep over operand pairs")
     p_sw.add_argument("--op", required=True, choices=PRODUCT_TAGS)
@@ -201,16 +199,7 @@ def _cmd_op(args, out) -> None:
     h = parse_graph6(args.b)
     n = {ProductKind.JOIN: g.n + h.n, ProductKind.CORONA: g.n + g.n * h.n}.get(kind, g.n * h.n)
     check_graph6_size(n)
-    composite = apply_product(kind, g, h)
-    text = emit_graph6(composite)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="ascii") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {args.output}: {exc}") from None
-    else:
-        print(text, file=out)
+    print(emit_graph6(apply_product(kind, g, h)), file=out)
 
 
 def _bound_record(report: BoundReport, g6_a: str, g6_b: str) -> str:
@@ -281,7 +270,7 @@ def _cmd_search(args, out) -> None:
     if args.search_task != "probe" and not 1 <= args.workers <= MAX_WORKERS:
         raise InputError(f"workers must be in [1, {MAX_WORKERS}], got {args.workers}")
     if args.search_task == "theorem1":
-        outcome = verify_theorem1(args.n, allow_large=args.allow_large)
+        outcome = verify_theorem1(args.n)
     elif args.search_task == "sweep":
         outcome = sweep_operation_bounds(ProductKind(args.op), args.n1, args.n2)
     else:

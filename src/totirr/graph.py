@@ -136,12 +136,3 @@ def is_connected(g: Graph) -> bool:
         seen |= new
         frontier = g.adjacency[new].any(axis=0)
     return bool(seen.all())
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Disjoint union; h's vertices are relabeled by shifting up by g.n."""
-    n = g.n + h.n
-    adj = np.zeros((n, n), dtype=bool)
-    adj[: g.n, : g.n] = g.adjacency
-    adj[g.n :, g.n :] = h.adjacency
-    return Graph(adj)

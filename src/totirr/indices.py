@@ -62,18 +62,6 @@ def total_irregularity_rows(degrees: np.ndarray) -> np.ndarray:
     return sum((ds[:, lo : lo + step] @ coeffs[lo : lo + step]).astype(object) for lo in range(0, n, step))
 
 
-def total_irregularity_naive(g: Graph) -> int:
-    """Direct pairwise transcription of the definition; the O(n^2) oracle
-    against which the sorted form is checked."""
-    ds = g.degrees()
-    n = g.n
-    total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += abs(ds[i] - ds[j])
-    return total
-
-
 def irregularity(g: Graph) -> int:
     """Albertson irregularity (third Zagreb index): sum of edge imbalances
     |d(u) - d(v)| over edges.
@@ -98,14 +86,6 @@ def irregularity(g: Graph) -> int:
 def zagreb_m1(g: Graph) -> int:
     """First Zagreb index: sum of squared degrees."""
     return sum(d * d for d in g.degrees())
-
-
-def zagreb_m1_edge_form(g: Graph) -> int:
-    """First Zagreb index via the edge form sum over uv of d(u) + d(v);
-    must agree with the vertex form on every graph."""
-    deg = np.array(g.degrees(), dtype=np.int64)
-    u, v = np.nonzero(np.triu(g.adjacency, 1))
-    return int((deg[u] + deg[v]).sum())
 
 
 def zagreb_m2(g: Graph) -> int:

@@ -6,13 +6,13 @@ which is exactly the Kronecker-product block layout, so each adjacency is a
 short boolean expression in np.kron.  Corona places g's vertices first,
 followed by the copies of h in order.  product_degree_rows gives the same
 composites' degree sequences from the operands' degrees alone, one operand
-pair per row; product_degrees is its one-pair form.
+pair per row; it is the one way to get a composite's degree sequence
+without building the composite.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -161,12 +161,3 @@ def product_degree_rows(kind: ProductKind, dg: np.ndarray, dh: np.ndarray) -> np
     else:
         d = n2 * a + n1 * b - 2 * a * b
     return d.reshape(len(d), n1 * n2)
-
-
-def product_degrees(
-    kind: ProductKind, dg: Sequence[int], dh: Sequence[int]
-) -> Tuple[int, ...]:
-    """Degree sequence of the composite of operands with degree sequences
-    dg and dh, as Python ints: product_degree_rows on one row."""
-    row = product_degree_rows(kind, np.array([dg], dtype=np.int64), np.array([dh], dtype=np.int64))
-    return tuple(row[0].tolist())

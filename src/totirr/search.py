@@ -4,16 +4,16 @@ Labeled graphs on n vertices are identified with integer codes
 0 .. 2^(n(n-1)/2)-1 whose bits, most significant first, are the
 upper-triangle adjacency entries in graph6 order; `formats.triangle_mask`
 owns that order and codes decode through `formats.graph_from_bits`.
-The brute-force maximum scan and the bound sweeps run over contiguous
-code ranges, in the calling process.  A graph's degrees are linear in
-its code bits, so the theorem1 scan takes each block of _BLOCK codes as
-the degree row of its high bits plus one table of the low bits, shared
-by all blocks, and keeps the lowest code of the maximum.  A graph and
-its complement have the same irr_t (degrees d -> n-1-d), so the scan
-scores only the codes whose most significant bit is 0: every other
-code's complement is lower.  The table is int8, one row per vertex and
-one column per code: a Batcher odd-even merge network
-(`_sorting_network`) sorts every code's degrees at once, one
+The brute-force maximum scan (2 <= n <= 8) and the bound sweeps run
+over contiguous code ranges, in the calling process.  A graph's degrees
+are linear in its code bits, so the theorem1 scan takes each block of
+_BLOCK codes as the degree row of its high bits plus one table of the
+low bits, shared by all blocks, and keeps the lowest code of the
+maximum.  A graph and its complement have the same irr_t (degrees
+d -> n-1-d), so the scan scores only the codes whose most significant
+bit is 0: every other code's complement is lower.  The table is int8,
+one row per vertex and one column per code: a Batcher odd-even merge
+network (`_sorting_network`) sorts every code's degrees at once, one
 `np.minimum`/`np.maximum` pair per comparator, and irr_t is the
 weighted sum of the sorted rows.
 
@@ -154,9 +154,11 @@ def _block_irregularity(columns: np.ndarray, network: List[Tuple[int, int]]) -> 
     return irr
 
 
-def verify_theorem1(n: int, allow_large: bool = False) -> SearchOutcome:
+def verify_theorem1(n: int) -> SearchOutcome:
     """Brute-force the maximum total irregularity over all labeled graphs
-    on n vertices and check it equals the closed-form bound.
+    on n vertices, 2 <= n <= THEOREM1_MAX_N, and check it equals the
+    closed-form bound.  n outside that range raises InputError before
+    any table is built.
 
     Only the codes below 2^(k-1), k = n(n-1)/2, are scored: each code
     above has a lower complement with the same irr_t, so the maximum and
@@ -170,10 +172,6 @@ def verify_theorem1(n: int, allow_large: bool = False) -> SearchOutcome:
     """
     if not 2 <= n <= THEOREM1_MAX_N:
         raise InputError(f"verify_theorem1 supports 2 <= n <= {THEOREM1_MAX_N}, got {n}")
-    if n == THEOREM1_MAX_N and not allow_large:
-        raise InputError(
-            f"n = {THEOREM1_MAX_N} scans 2^28 graphs; pass allow_large=True to confirm"
-        )
     total = num_labeled_graphs(n)
     # the most significant pair is dropped: only its 0 half is scored.
     # Degrees are below n <= 8, so int8 degrees and irr_t sums are exact

@@ -1,10 +1,12 @@
 import random
+from typing import Sequence, Tuple
 
 import numpy as np
 import pytest
 
-from totirr import Graph, graph_from_code, num_labeled_graphs
+from totirr import Graph, ProductKind, graph_from_code, num_labeled_graphs
 from totirr.formats import graph_from_bits
+from totirr.products import product_degree_rows
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
@@ -21,6 +23,44 @@ def edges(g: Graph) -> list:
     """Unordered edges as (u, v) with u < v, in row-major order."""
     rows, cols = np.nonzero(np.triu(g.adjacency, 1))
     return list(zip(rows.tolist(), cols.tolist()))
+
+
+def total_irregularity_naive(g: Graph) -> int:
+    """Direct pairwise transcription of the definition; the O(n^2) oracle
+    against which the sorted form is checked."""
+    ds = g.degrees()
+    n = g.n
+    total = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += abs(ds[i] - ds[j])
+    return total
+
+
+def zagreb_m1_edge_form(g: Graph) -> int:
+    """First Zagreb index via the edge form sum over uv of d(u) + d(v);
+    must agree with the vertex form on every graph."""
+    deg = np.array(g.degrees(), dtype=np.int64)
+    u, v = np.nonzero(np.triu(g.adjacency, 1))
+    return int((deg[u] + deg[v]).sum())
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """Disjoint union; h's vertices are relabeled by shifting up by g.n."""
+    n = g.n + h.n
+    adj = np.zeros((n, n), dtype=bool)
+    adj[: g.n, : g.n] = g.adjacency
+    adj[g.n :, g.n :] = h.adjacency
+    return Graph(adj)
+
+
+def product_degrees(
+    kind: ProductKind, dg: Sequence[int], dh: Sequence[int]
+) -> Tuple[int, ...]:
+    """Degree sequence of the composite of operands with degree sequences
+    dg and dh, as Python ints: product_degree_rows on one row."""
+    row = product_degree_rows(kind, np.array([dg], dtype=np.int64), np.array([dh], dtype=np.int64))
+    return tuple(row[0].tolist())
 
 
 @pytest.fixture

@@ -31,15 +31,12 @@ from totirr import (
     graph_total_irregularity,
     num_labeled_graphs,
     parse_graph6,
-    product_degrees,
-    total_irregularity_naive,
     verify_theorem1,
     zagreb_m1,
-    zagreb_m1_edge_form,
 )
 from totirr.cli import cli_main
 
-from conftest import labeled_graphs
+from conftest import labeled_graphs, product_degrees, total_irregularity_naive, zagreb_m1_edge_form
 
 SEEDS = [11, 22, 33, 44, 55]
 

@@ -78,22 +78,6 @@ def test_op_cartesian():
     assert g.n == 12 and sorted(g.degrees()) == [3] * 6 + [4] * 6
 
 
-def test_op_output_file(tmp_path):
-    out = tmp_path / "out.g6"
-    code, _ = run_cli("op", "join", "@", "@", "-o", str(out))
-    assert code == 0
-    assert parse_graph6(out.read_text().strip()).m == 1
-
-
-@pytest.mark.parametrize("target", ["missing/out.g6", "."], ids=["no-such-dir", "a-directory"])
-def test_op_unwritable_output_exits_1(target, tmp_path, capsys):
-    out = tmp_path / target
-    code, text = run_cli("op", "join", "@", "@", "-o", str(out))
-    assert code == 1 and text == ""
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
-
-
 def test_bound_cartesian_tight():
     p4 = emit_graph6(gen_path(4))
     c3 = emit_graph6(gen_cycle(3))
@@ -265,7 +249,7 @@ def test_workers_out_of_range(argv, workers, capsys):
     [
         (["search", "theorem1", "--n", "9"], "0"),
         (["search", "sweep", "--op", "join", "--n1", "5", "--n2", "2"], "257"),
-        (["search", "theorem1", "--n", "8", "--allow-large"], "0"),
+        (["search", "theorem1", "--n", "8"], "0"),
     ],
     ids=["theorem1-n9", "sweep-5x2", "theorem1-n8"],
 )
@@ -284,9 +268,8 @@ def test_workers_checked_before_other_arguments_and_any_scan(argv, workers, monk
     [
         (["--n", "1"], "verify_theorem1 supports 2 <= n <= 8, got 1"),
         (["--n", "9"], "verify_theorem1 supports 2 <= n <= 8, got 9"),
-        (["--n", "8"], "n = 8 scans 2^28 graphs; pass allow_large=True to confirm"),
     ],
-    ids=["n1", "n9", "n8-without-allow-large"],
+    ids=["n1", "n9"],
 )
 def test_theorem1_range_checked_before_any_scan(argv, message, monkeypatch, capsys):
     def no_scan(*args, **kwargs):
@@ -296,6 +279,36 @@ def test_theorem1_range_checked_before_any_scan(argv, message, monkeypatch, caps
     code, text = run_cli("search", "theorem1", *argv)
     assert code == 1 and text == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_theorem1_n8_prints_the_ci_record():
+    # the record the CI workflow checks
+    code, text = run_cli("search", "theorem1", "--n", "8")
+    assert code == 0
+    assert text == "task=search kind=theorem1 n=8 cases=268435456 max_value=68 witness=G??Xz{\n"
+
+
+@pytest.mark.parametrize(
+    "argv,unknown",
+    [
+        (["search", "theorem1", "--n", "8", "--allow-large"], "--allow-large"),
+        (["op", "join", "@", "@", "-o", "out.g6"], "-o out.g6"),
+    ],
+    ids=["allow-large", "op-output"],
+)
+def test_removed_options_exit_1(argv, unknown, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on an unknown option")
+
+    monkeypatch.setattr(totirr.search, "_bit_degrees", no_work)
+    monkeypatch.setattr("totirr.cli.apply_product", no_work)
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(*argv)
+    assert code == 1 and text == ""
+    # argparse's usage line, then the one error line
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [f"error: unrecognized arguments: {unknown}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_probe_sample_cap(monkeypatch, capsys):

@@ -9,7 +9,6 @@ from totirr import (
     Graph,
     InputError,
     complement,
-    disjoint_union,
     from_edge_list,
     gen_complete,
     gen_complete_multipartite,
@@ -23,7 +22,7 @@ from totirr import (
     is_connected,
 )
 
-from conftest import random_graph
+from conftest import disjoint_union, random_graph
 
 
 def edge_set_strategy(max_n=10):

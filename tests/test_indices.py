@@ -11,7 +11,6 @@ from totirr import (
     collatz_sinogowitz,
     complement,
     degree_variance,
-    disjoint_union,
     gen_complete,
     gen_complete_multipartite,
     gen_cycle,
@@ -23,14 +22,19 @@ from totirr import (
     irregularity,
     spectral_radius,
     total_irregularity,
-    total_irregularity_naive,
     zagreb_m1,
-    zagreb_m1_edge_form,
     zagreb_m2,
 )
 from totirr.indices import total_irregularity_rows
 
-from conftest import edges, labeled_graphs, random_graph
+from conftest import (
+    disjoint_union,
+    edges,
+    labeled_graphs,
+    random_graph,
+    total_irregularity_naive,
+    zagreb_m1_edge_form,
+)
 
 
 class TestTotalIrregularity:

@@ -15,12 +15,11 @@ from totirr import (
     graph_total_irregularity,
     join,
     lexicographic,
-    product_degrees,
     strong,
     symmetric_difference,
 )
 
-from conftest import random_graph
+from conftest import product_degrees, random_graph
 
 K1 = gen_empty(1)
 

@@ -191,9 +191,14 @@ class TestVerifyTheorem1:
         monkeypatch.setattr(search, "_BLOCK", block)
         assert [verify_theorem1(n) for n in range(3, 7)] == default
 
+    def test_n8_needs_no_opt_in(self):
+        outcome = verify_theorem1(8)
+        assert (outcome.cases_examined, outcome.max_value) == (1 << 28, 68)
+        assert outcome.witness == ("G??Xz{",)
+
     @pytest.mark.parametrize(
         "n,message",
-        [(1, "supports 2 <= n <= 8, got 1"), (9, "supports 2 <= n <= 8, got 9"), (8, "allow_large")],
+        [(1, "supports 2 <= n <= 8, got 1"), (9, "supports 2 <= n <= 8, got 9")],
     )
     def test_rejects_before_any_scan(self, n, message, monkeypatch):
         def no_scan(*args):
