@@ -37,7 +37,13 @@ from .indices import (
     zagreb_m2,
 )
 from .products import ProductKind, apply_product
-from .search import SearchOutcome, probe_open_problem, sweep_operation_bounds, verify_theorem1
+from .search import (
+    PROBE_KINDS,
+    SearchOutcome,
+    probe_open_problem,
+    sweep_operation_bounds,
+    verify_theorem1,
+)
 
 INDEX_FUNCS = {
     "irr_t": graph_total_irregularity,
@@ -114,7 +120,7 @@ def _build_parser() -> _Parser:
     p_sw.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
 
     p_pr = search_sub.add_parser("probe", help="randomized probe of the open tightness question")
-    p_pr.add_argument("--op", required=True, choices=["disjunction", "symdiff"])
+    p_pr.add_argument("--op", required=True, choices=[k.value for k in PROBE_KINDS])
     p_pr.add_argument("--n1", type=int, required=True)
     p_pr.add_argument("--n2", type=int, required=True)
     p_pr.add_argument("--samples", type=int, required=True)

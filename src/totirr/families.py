@@ -88,14 +88,12 @@ def gen_extremal_total_irr(n: int) -> Graph:
 def gen_random_tree(n: int, seed: int) -> Graph:
     """Uniformly random labeled tree on n vertices, deterministic per seed.
 
-    Decodes a random Pruefer sequence; n = 1 and n = 2 are the unique trees.
+    Decodes a random Pruefer sequence, empty at n = 2; n = 1 is the unique tree.
     """
     if n < 1:
         raise InputError(f"tree needs n >= 1, got {n}")
     if n == 1:
         return gen_empty(1)
-    if n == 2:
-        return gen_complete(2)
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return tree_from_pruefer(n, seq)

@@ -18,9 +18,10 @@ network (`_sorting_network`) sorts every code's degrees at once, one
 weighted sum of the sorted rows.
 
 Sweeps and the probe score operand pairs as rows.  Each side is a
-`bounds.Operands` pool of int64 degree rows, taken from the codes (sweep)
-or scattered from each sample's random bits (probe).  `BoundScan.check`
-scores a batch of index pairs at once, about 2^14 array cells per batch.
+`bounds.Operands` pool of int64 degree rows: the codes (sweep), the
+battery (probe), or each sample's bits from one `rng.randbytes` call per
+batch (probe).  `BoundScan.check` scores a batch of index pairs at once,
+about 2^14 array cells; `_check_all_pairs` checks every pair of two pools.
 A Graph is built only for a pool operand whose connectivity a hypothesis
 needs, a witness, or a falsification.
 """
@@ -35,7 +36,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import FalsificationError, InputError, InternalError
-from .bounds import BoundScan, Operands, bound_theorem1
+from .bounds import INT64_MAX_PAIR, BoundScan, Operands, bound_theorem1
 from .formats import emit_graph6, graph_from_bits, triangle_mask
 from .families import (
     gen_complete,
@@ -53,6 +54,7 @@ from .products import ProductKind, apply_product  # noqa: F401
 
 THEOREM1_MAX_N = 8
 MAX_PROBE_SAMPLES = 10**7
+PROBE_KINDS = (ProductKind.DISJUNCTION, ProductKind.SYMDIFF)
 # codes per theorem1 block; a power of two, so blocks share one table
 _BLOCK = 1 << 16
 # array cells per batch of operand-pair rows (sweep and probe)
@@ -217,6 +219,16 @@ def _batch_rows(n1: int, n2: int) -> int:
     return max(1, _BATCH_CELLS // (n1 + n2) ** 2)
 
 
+def _check_all_pairs(scan: BoundScan, g: Operands, h: Operands) -> None:
+    """Check every pair (g[i], h[j]) in pair-index order i * len(h) + j,
+    in batches of _batch_rows rows, so ties keep the lowest index."""
+    total = len(g) * len(h)
+    step = _batch_rows(g.n, h.n)
+    for lo in range(0, total, step):
+        a, b = np.divmod(np.arange(lo, min(lo + step, total)), len(h))
+        scan.check(g, a, h, b)
+
+
 def _labeled_operands(n: int) -> Operands:
     """Every labeled graph on n vertices, row i the graph with code i."""
     return Operands(n, _bit_degrees(_pair_incidence(n)), lambda code: graph_from_code(n, code))
@@ -234,18 +246,13 @@ def sweep_operation_bounds(kind: ProductKind, n1: int, n2: int) -> SearchOutcome
     if not (1 <= n1 <= 4 and 1 <= n2 <= 4):
         raise InputError(f"exhaustive sweeps support n1, n2 in [1, 4], got {n1}, {n2}")
     g, h = _labeled_operands(n1), _labeled_operands(n2)
-    total = len(g) * len(h)
     scan = BoundScan(kind)
-    step = _batch_rows(n1, n2)
-    # pair index p is (code_g, code_h) = divmod(p, 2^k2), checked in order
-    for lo in range(0, total, step):
-        a, b = np.divmod(np.arange(lo, min(lo + step, total)), len(h))
-        scan.check(g, a, h, b)
+    _check_all_pairs(scan, g, h)
     return SearchOutcome(
         task="sweep",
         n1=n1,
         n2=n2,
-        cases_examined=total,
+        cases_examined=len(g) * len(h),
         min_slack=scan.min_slack,
         max_ratio=scan.max_ratio,
         witness=tuple(emit_graph6(x) for x in scan.slack_pair or ()),
@@ -258,22 +265,6 @@ def _deterministic_battery(n: int) -> List[Graph]:
     if n >= 2:
         battery.append(gen_extremal_total_irr(n))
     return battery
-
-
-def _random_bits(rng: random.Random, count: int) -> np.ndarray:
-    """`count` draws of rng.getrandbits(1), as uint8.
-
-    getrandbits(1) is the top bit of one 32-bit output word, and
-    getrandbits(32 c) is c such words, least significant first.  So one
-    call per chunk of c draws gives the same bits and leaves rng in the
-    same state.
-    """
-    bits = np.empty(count, dtype=np.uint8)
-    for lo in range(0, count, _BATCH_CELLS):
-        c = min(_BATCH_CELLS, count - lo)
-        words = np.frombuffer(rng.getrandbits(32 * c).to_bytes(4 * c, "little"), dtype="<u4")
-        bits[lo : lo + c] = words >> 31
-    return bits
 
 
 def _sampled_operands(n: int, bits: np.ndarray) -> Operands:
@@ -292,21 +283,22 @@ def probe_open_problem(
     """Empirical probe of whether the disjunction / symmetric-difference
     bounds can be attained: deterministic battery of extreme families
     first, then seeded random operand pairs, each edge present with
-    probability 1/2 (one rng.getrandbits(1) per graph6 bit, g's then h's).
+    probability 1/2 (each row's graph6 bits, g's then h's, from one
+    rng.randbytes call per batch of rows).
 
     Reports the maximum actual/bound ratio (exact rational, over pairs
     with positive bound) and the minimum slack.  The battery alone attains
     both whenever they exist: its edgeless operand makes either bound
     exact (actual = bound = n1^3 th, or n2^3 tg), so min_slack is 0 and
-    max_ratio is 1 once an operand has 3 or more vertices, and sampled
-    pairs add only falsification checks and `cases`.  A nondegenerate
-    tightness measure is the ROADMAP.md item on exact tightness of the
-    bounds.  Samples are scored in batches of rows, without a Graph per
-    sample.  Fully reproducible from the seed; gathers evidence only,
-    proves nothing.
+    max_ratio is 1 once an operand has 3 or more vertices.  So the sampled
+    bits never change a record: samples add only falsification checks and
+    `cases`.  A nondegenerate tightness measure is the ROADMAP.md item on
+    exact tightness of the bounds.  Samples are scored in batches of rows,
+    without a Graph per sample.  Fully reproducible from the seed; gathers
+    evidence only, proves nothing.
     """
     kind = ProductKind(kind)
-    if kind not in (ProductKind.DISJUNCTION, ProductKind.SYMDIFF):
+    if kind not in PROBE_KINDS:
         raise InputError(f"probe targets disjunction or symdiff, got {kind.value}")
     if samples < 0:
         raise InputError(f"samples must be >= 0, got {samples}")
@@ -314,20 +306,20 @@ def probe_open_problem(
         raise InputError(f"samples must be <= {MAX_PROBE_SAMPLES}, got {samples}")
     if n1 < 1 or n2 < 1:
         raise InputError(f"probe requires n1, n2 >= 1, got {n1}, {n2}")
-    if n1 * n2 > 4096:
-        raise InputError(f"probe requires n1*n2 <= 4096, got {n1 * n2}")
+    # the batched check then stays in int64
+    if n1 * n2 > INT64_MAX_PAIR:
+        raise InputError(f"probe requires n1*n2 <= {INT64_MAX_PAIR}, got {n1 * n2}")
     rng = random.Random(seed)
     scan = BoundScan(kind)
-    g = Operands.of_graphs(_deterministic_battery(n1))
-    h = Operands.of_graphs(_deterministic_battery(n2))
-    a, b = np.divmod(np.arange(len(g) * len(h)), len(h))
-    scan.check(g, a, h, b)
+    g, h = (Operands.of_graphs(_deterministic_battery(n)) for n in (n1, n2))
+    _check_all_pairs(scan, g, h)
     k1 = n1 * (n1 - 1) // 2
     k = k1 + n2 * (n2 - 1) // 2
     step = _batch_rows(n1, n2)
     for lo in range(0, samples, step):
         rows = min(step, samples - lo)
-        bits = _random_bits(rng, rows * k).reshape(rows, k)
+        draw = np.frombuffer(rng.randbytes(-(-rows * k // 8)), dtype=np.uint8)
+        bits = np.unpackbits(draw, count=rows * k).reshape(rows, k)
         every = np.arange(rows)
         g, h = _sampled_operands(n1, bits[:, :k1]), _sampled_operands(n2, bits[:, k1:])
         scan.check(g, every, h, every)

@@ -27,7 +27,7 @@ from totirr import (
 )
 from totirr.bounds import INT64_MAX_PAIR, BoundScan, Operands, _bound_formula
 from totirr.formats import graph_from_bits
-from totirr.search import _deterministic_battery, _labeled_operands
+from totirr.search import _batch_rows, _deterministic_battery, _labeled_operands
 
 from conftest import labeled_graphs, random_graph
 
@@ -327,13 +327,13 @@ def test_falsification_on_a_sampled_row_names_both_operands(monkeypatch):
     operands, decoded from the draws in the order the probe makes them."""
     seed = 11
     assert all(g.m != 1 for g in _deterministic_battery(4))
-    # the first sampled pair whose g has exactly one edge, drawn one bit at a time
-    rng = random.Random(seed)
-    while True:
-        g = graph_from_bits(4, [rng.getrandbits(1) for _ in range(6)])
-        h = graph_from_bits(4, [rng.getrandbits(1) for _ in range(6)])
-        if g.m == 1:
-            break
+    # the first sampled pair whose g has exactly one edge, from the first
+    # batch's draw: one row per sample, g's 6 graph6 bits then h's
+    rows = _batch_rows(4, 4)
+    draw = np.frombuffer(random.Random(seed).randbytes(rows * 12 // 8), dtype=np.uint8)
+    bits = np.unpackbits(draw).reshape(rows, 12)
+    i = next(i for i, row in enumerate(bits) if row[:6].sum() == 1)
+    g, h = graph_from_bits(4, bits[i, :6]), graph_from_bits(4, bits[i, 6:])
     formula = bounds._bound_formula
     monkeypatch.setattr(
         "totirr.bounds._bound_formula",

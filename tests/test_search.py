@@ -1,6 +1,6 @@
+import dataclasses
 import io
 import multiprocessing
-import random
 import types
 from fractions import Fraction
 
@@ -33,7 +33,6 @@ from totirr.search import (
     _BATCH_CELLS,
     _block_irregularity,
     _pair_incidence,
-    _random_bits,
     _sorting_network,
 )
 
@@ -263,11 +262,47 @@ class TestProbe:
         assert a == b
         assert a.max_ratio is not None and a.max_ratio <= 1
 
-    def test_seed_changes_samples(self):
-        a = probe_open_problem(ProductKind.SYMDIFF, 4, 4, samples=200, seed=1)
-        b = probe_open_problem(ProductKind.SYMDIFF, 4, 4, samples=200, seed=2)
-        # extrema may coincide, but the runs must at least be well-formed
-        assert a.cases_examined == b.cases_examined
+    def test_seed_changes_samples(self, monkeypatch):
+        drawn = []
+        sampled = search._sampled_operands
+
+        def spy(n, bits):
+            drawn.append(bits.tolist())
+            return sampled(n, bits)
+
+        monkeypatch.setattr(search, "_sampled_operands", spy)
+
+        def draws(seed):
+            drawn.clear()
+            probe_open_problem(ProductKind.SYMDIFF, 4, 4, samples=200, seed=seed)
+            return list(drawn)
+
+        first = draws(1)
+        # g's rows then h's, 6 graph6 bits each, for every sample
+        assert sum(len(rows) for rows in first) == 2 * 200
+        assert draws(1) == first
+        assert draws(2) != first
+
+    @pytest.mark.parametrize("kind", search.PROBE_KINDS)
+    @pytest.mark.parametrize(
+        # smaller batches cost one draw and one check per few rows, so
+        # they run fewer samples; each batch size draws different bits
+        "cells,samples,seeds",
+        [(_BATCH_CELLS, 3000, (1, 2, 1729, -5)), (1, 300, (1729,)), (64, 300, (1729,))],
+        ids=["default-batch", "1-cell-batch", "64-cell-batch"],
+    )
+    def test_samples_never_change_a_record(self, kind, cells, samples, seeds, monkeypatch):
+        # the battery's edgeless operand already attains both extrema, and
+        # it comes first, so the sampled bits change only `cases`
+        sizes = [(n1, n2) for n1 in range(1, 6) for n2 in range(1, 6)]
+        battery = {(n1, n2): probe_open_problem(kind, n1, n2, samples=0, seed=0) for n1, n2 in sizes}
+        monkeypatch.setattr(search, "_BATCH_CELLS", cells)
+        for (n1, n2), expected in battery.items():
+            for seed in seeds:
+                outcome = probe_open_problem(kind, n1, n2, samples=samples, seed=seed)
+                assert outcome.cases_examined == expected.cases_examined + samples
+                same_counts = dict(cases_examined=expected.cases_examined, seed=expected.seed)
+                assert dataclasses.replace(outcome, **same_counts) == expected, (n1, n2, seed)
 
     def test_witness_reproduces_ratio(self):
         outcome = probe_open_problem(ProductKind.DISJUNCTION, 4, 3, samples=300, seed=7)
@@ -306,27 +341,6 @@ class TestProbe:
 
 def no_sampling(seed):
     raise AssertionError("the probe started sampling")
-
-
-class TestRandomBits:
-    """_random_bits(rng, c) draws the same bits as c calls of
-    rng.getrandbits(1), the probe's per-bit stream, and leaves rng in the
-    same state."""
-
-    @pytest.mark.parametrize("seed", [1729, 5, 0])
-    @pytest.mark.parametrize(
-        # 0 bits: a pair of 1-vertex operands; 12: a pair at 4x4; the
-        # rest end one bit short of, at, and past chunk boundaries
-        "counts",
-        [[0], [12, 0, 12], [_BATCH_CELLS - 1, 2], [_BATCH_CELLS, 1], [2 * _BATCH_CELLS + 5]],
-    )
-    def test_matches_per_bit_draws(self, seed, counts):
-        chunked, per_bit = random.Random(seed), random.Random(seed)
-        for count in counts:
-            bits = _random_bits(chunked, count)
-            assert bits.tolist() == [per_bit.getrandbits(1) for _ in range(count)]
-            assert chunked.getstate() == per_bit.getstate()
-        assert chunked.random() == per_bit.random()
 
 
 class TestWorkers:
