@@ -43,8 +43,8 @@ class Operands:
     `graph(i)` decodes operand i; only witnesses and falsifications do.
     """
 
-    def __init__(self, n: int, degrees: np.ndarray, graph: Callable[[int], Graph]):
-        self.n = n
+    def __init__(self, degrees: np.ndarray, graph: Callable[[int], Graph]):
+        self.n = degrees.shape[1]
         self.degrees = degrees
         self.m = degrees.sum(axis=1) // 2
         self.irr_t = total_irregularity_rows(degrees)
@@ -54,7 +54,7 @@ class Operands:
     def of_graphs(cls, graphs: Sequence[Graph]) -> Operands:
         graphs = list(graphs)
         degrees = np.array([g.degrees() for g in graphs], dtype=np.int64)
-        return cls(graphs[0].n, degrees, graphs.__getitem__)
+        return cls(degrees, graphs.__getitem__)
 
     def __len__(self) -> int:
         return len(self.degrees)

@@ -54,6 +54,18 @@ INDEX_FUNCS = {
     "cs": collatz_sinogowitz,
 }
 
+# gen's families in usage order; multipartite takes the part sizes, the rest one n
+FAMILIES = {
+    "path": lambda params, seed: gen_path(params[0]),
+    "cycle": lambda params, seed: gen_cycle(params[0]),
+    "complete": lambda params, seed: gen_complete(params[0]),
+    "star": lambda params, seed: gen_star(params[0]),
+    "empty": lambda params, seed: gen_empty(params[0]),
+    "multipartite": lambda params, seed: gen_complete_multipartite(params),
+    "extremal": lambda params, seed: gen_extremal_total_irr(params[0]),
+    "tree": lambda params, seed: gen_random_tree(params[0], seed),
+}
+
 PRODUCT_TAGS = [k.value for k in ProductKind]
 
 # the searches run in one process; --workers stays only because the
@@ -79,16 +91,13 @@ def _build_parser() -> _Parser:
     p_compute.add_argument("--format", choices=["g6", "edgelist"], default="g6")
     p_compute.add_argument(
         "--indices",
-        default="irr_t,irr,m1,m2,var,cs",
-        help="comma-separated subset of irr_t,irr,m1,m2,var,cs",
+        default=",".join(INDEX_FUNCS),
+        help=f"comma-separated subset of {','.join(INDEX_FUNCS)}",
     )
 
     p_gen = sub.add_parser("gen", help="generate a named graph family as graph6")
     p_gen.set_defaults(run=_cmd_gen)
-    p_gen.add_argument(
-        "family",
-        choices=["path", "cycle", "complete", "star", "empty", "multipartite", "extremal", "tree"],
-    )
+    p_gen.add_argument("family", choices=list(FAMILIES))
     p_gen.add_argument("params", nargs="*", type=int, help="family parameters")
     p_gen.add_argument("--seed", type=int, default=0, help="seed for tree generation")
 
@@ -180,23 +189,10 @@ def _cmd_gen(args, out) -> None:
     if family == "multipartite":
         if not params:
             raise InputError("multipartite needs at least one part size")
-        check_graph6_size(sum(params))
-        g = gen_complete_multipartite(params)
-    else:
-        if len(params) != 1:
-            raise InputError(f"family {family!r} takes exactly one integer parameter")
-        check_graph6_size(params[0])
-        one_param = {
-            "path": gen_path,
-            "cycle": gen_cycle,
-            "complete": gen_complete,
-            "star": gen_star,
-            "empty": gen_empty,
-            "extremal": gen_extremal_total_irr,
-            "tree": lambda n: gen_random_tree(n, args.seed),
-        }
-        g = one_param[family](params[0])
-    print(emit_graph6(g), file=out)
+    elif len(params) != 1:
+        raise InputError(f"family {family!r} takes exactly one integer parameter")
+    check_graph6_size(sum(params))
+    print(emit_graph6(FAMILIES[family](params, args.seed)), file=out)
 
 
 def _cmd_op(args, out) -> None:

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, from_edge_list
+from .graph import Graph, from_edge_list, mirror_lower
 
 
 def gen_empty(n: int) -> Graph:
@@ -60,7 +60,6 @@ def gen_complete_multipartite(parts: Sequence[int]) -> Graph:
     for p in parts:
         if p < 1:
             raise InputError(f"part sizes must be >= 1, got {p}")
-    n = sum(parts)
     labels = np.repeat(np.arange(len(parts)), parts)
     adj = labels[:, None] != labels[None, :]
     return Graph(adj)
@@ -78,11 +77,11 @@ def gen_extremal_total_irr(n: int) -> Graph:
         raise InputError(f"extremal construction needs n >= 2, got {n}")
     p = n // 2
     adj = np.zeros((n, n), dtype=bool)
-    adj[:p, :p] = ~np.eye(p, dtype=bool)  # clique on the top layer
-    # t_i ~ b_j for i < j; the diagonal is the matching, kept for even n
-    adj[:p, p : 2 * p] = np.triu(np.ones((p, p), dtype=bool), n % 2)
-    adj[:p, 2 * p :] = True  # the apex column; empty for even n
-    return Graph(adj | adj.T)
+    adj[:p, :p] = np.tri(p, k=-1, dtype=bool)  # clique on the top layer
+    # b_j ~ t_i for i < j; the diagonal is the matching, kept for even n
+    adj[p : 2 * p, :p] = np.tri(p, k=-(n % 2), dtype=bool)
+    adj[2 * p :, :p] = True  # the apex row; empty for even n
+    return Graph(mirror_lower(adj))
 
 
 def gen_random_tree(n: int, seed: int) -> Graph:

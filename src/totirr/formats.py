@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import EdgeListParseError, Graph6ParseError, InputError
-from .graph import SYMMETRY_TILE, Graph, from_edge_list
+from .graph import Graph, from_edge_list, mirror_lower
 
 MAX_GRAPH6_N = 4096
 
@@ -42,16 +42,11 @@ def triangle_mask(n: int) -> np.ndarray:
 
 def graph_from_bits(n: int, bits: Union[Sequence[int], np.ndarray]) -> Graph:
     """The graph on n vertices whose n(n-1)/2 upper-triangle adjacency
-    bits, in graph6 order, are `bits` (0/1 or booleans)."""
+    bits, in graph6 order, are `bits` (0/1 or booleans): scattered into
+    the strict lower triangle, then mirrored by `graph.mirror_lower`."""
     adj = np.zeros((n, n), dtype=bool)
     adj[triangle_mask(n)] = np.asarray(bits, dtype=bool)
-    # mirror the lower triangle into the upper one a tile at a time (see
-    # SYMMETRY_TILE); the diagonal tiles' upper halves are still zero
-    t = SYMMETRY_TILE
-    for i in range(0, n, t):
-        for j in range(0, i + 1, t):
-            adj[j : j + t, i : i + t] |= adj[i : i + t, j : j + t].T
-    return Graph(adj)
+    return Graph(mirror_lower(adj))
 
 
 def _sextets_to_bytes(sextets: np.ndarray) -> np.ndarray:
@@ -87,7 +82,6 @@ def parse_graph6(s: str) -> Graph:
         raise Graph6ParseError(f"non-ASCII character {s[exc.start]!r}", exc.start) from None
     if not data:
         raise Graph6ParseError("empty graph6 string", 0)
-    pos = 0
     if data[0] == 126:  # '~': extended header
         if len(data) >= 2 and data[1] == 126:
             raise Graph6ParseError("8-byte huge-graph header is unsupported", 1)

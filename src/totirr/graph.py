@@ -6,7 +6,7 @@ everywhere (every operation in this package presumes a nonempty vertex set).
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -14,23 +14,34 @@ from .errors import InputError
 
 
 # side of the square tiles in which _is_symmetric compares a matrix with its
-# transpose and formats.graph_from_bits mirrors the lower triangle: a tile
+# transpose and mirror_lower completes one from its lower triangle: a tile
 # and its mirror stay in cache, where a whole-matrix transpose of a large
 # graph is a strided pass through memory.  The edge indices in `indices`
 # pass the adjacency in row tiles of the same height.
 SYMMETRY_TILE = 256
 
 
-def _is_symmetric(adj: np.ndarray) -> bool:
-    """adj == adj.T, compared tile by tile over the tiles on and above the
-    diagonal; a matrix of at most one tile is one comparison."""
-    n = adj.shape[0]
+def _tile_pairs(n: int) -> Iterator[Tuple[slice, slice]]:
+    """(rows, cols) of each tile on or above the diagonal of an n x n
+    matrix; its mirror is [cols, rows], the tile itself on the diagonal."""
     t = SYMMETRY_TILE
     for i in range(0, n, t):
         for j in range(i, n, t):
-            if not np.array_equal(adj[i : i + t, j : j + t], adj[j : j + t, i : i + t].T):
-                return False
-    return True
+            yield slice(i, i + t), slice(j, j + t)
+
+
+def _is_symmetric(adj: np.ndarray) -> bool:
+    """adj == adj.T, compared tile by tile; one tile is one comparison."""
+    return all(np.array_equal(adj[r, c], adj[c, r].T) for r, c in _tile_pairs(adj.shape[0]))
+
+
+def mirror_lower(adj: np.ndarray) -> np.ndarray:
+    """Complete a square boolean matrix whose strict upper triangle is
+    empty into a symmetric one, in place: each tile on or above the
+    diagonal is ORed with its mirror's transpose.  Returns adj."""
+    for r, c in _tile_pairs(adj.shape[0]):
+        adj[r, c] |= adj[c, r].T
+    return adj
 
 
 class Graph:

@@ -231,7 +231,7 @@ def _check_all_pairs(scan: BoundScan, g: Operands, h: Operands) -> None:
 
 def _labeled_operands(n: int) -> Operands:
     """Every labeled graph on n vertices, row i the graph with code i."""
-    return Operands(n, _bit_degrees(_pair_incidence(n)), lambda code: graph_from_code(n, code))
+    return Operands(_bit_degrees(_pair_incidence(n)), lambda code: graph_from_code(n, code))
 
 
 def sweep_operation_bounds(kind: ProductKind, n1: int, n2: int) -> SearchOutcome:
@@ -274,7 +274,7 @@ def _sampled_operands(n: int, bits: np.ndarray) -> Operands:
     # would first expand the mask to index arrays, 134 MB at n = 4096
     adj[np.broadcast_to(triangle_mask(n), adj.shape)] = bits.ravel()
     degrees = adj.sum(axis=1, dtype=np.int64) + adj.sum(axis=2, dtype=np.int64)
-    return Operands(n, degrees, lambda i: graph_from_bits(n, bits[i]))
+    return Operands(degrees, lambda i: graph_from_bits(n, bits[i]))
 
 
 def probe_open_problem(

@@ -204,6 +204,36 @@ def test_gen_invalid_params():
     assert code == 1
 
 
+def test_gen_multipartite():
+    assert run_cli("gen", "multipartite", "2", "3") == (0, "D]o\n")
+
+
+INPUT_ERRORS = [
+    (["compute"], "~@?@\n", "vertex count 4097 exceeds supported maximum 4096 (byte offset 0)"),
+    (["compute", "--format", "edgelist"], "n 0\n", "vertex count must be >= 1, got 0 (line 1)"),
+    (["compute", "--indices", ","], "", "no indices requested"),
+    (["gen", "multipartite"], "", "multipartite needs at least one part size"),
+    (["gen", "empty", "0"], "", "empty graph needs n >= 1, got 0"),
+    (["gen", "complete", "-2"], "", "complete graph needs n >= 1, got -2"),
+    (["gen", "path", "0"], "", "path needs l >= 1, got 0"),
+    (["gen", "star", "0"], "", "star needs n >= 1, got 0"),
+    (["gen", "tree", "0"], "", "tree needs n >= 1, got 0"),
+    (
+        ["search", "probe", "--op", "symdiff", "--n1", "4", "--n2", "4", "--samples", "-1", "--seed", "1"],
+        "",
+        "samples must be >= 0, got -1",
+    ),
+    (["bound", "theorem1", "--n", "0"], "", "need n >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv,stdin,message", INPUT_ERRORS, ids=[" ".join(c[0]) for c in INPUT_ERRORS])
+def test_input_error_exits_1_with_one_error_line(argv, stdin, message, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", stdin_of(stdin))
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 EMPTY_64 = emit_graph6(gen_empty(64))
 EMPTY_65 = emit_graph6(gen_empty(65))
 

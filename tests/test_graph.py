@@ -21,6 +21,7 @@ from totirr import (
     graph_total_irregularity,
     is_connected,
 )
+from totirr.families import tree_from_pruefer
 
 from conftest import disjoint_union, random_graph
 
@@ -90,6 +91,20 @@ class TestConstruction:
             Graph(adj)
         adj[u, v] = adj[v, u]
         assert Graph(adj).n == n
+
+    @pytest.mark.parametrize(
+        "adj,message",
+        [
+            (np.zeros((2, 3), dtype=bool), r"adjacency must be square, got shape \(2, 3\)"),
+            (np.zeros(4, dtype=bool), r"adjacency must be square, got shape \(4,\)"),
+            (np.zeros((0, 0), dtype=bool), "graphs must have at least one vertex"),
+            (np.eye(3, dtype=bool), "self-loop at vertex 0"),
+        ],
+        ids=["2x3", "vector", "0x0", "identity"],
+    )
+    def test_bad_adjacency_rejected(self, adj, message):
+        with pytest.raises(InputError, match=message):
+            Graph(adj)
 
     def test_adjacency_is_read_only(self):
         g = gen_path(3)
@@ -222,7 +237,8 @@ def extremal_from_edges(n):
 
 
 class TestExtremalConstruction:
-    @pytest.mark.parametrize("n", range(2, 41))
+    # 255 to 257 and 513 end inside, on and just past a symmetry tile's edge
+    @pytest.mark.parametrize("n", [*range(2, 41), 255, 256, 257, 513])
     def test_matches_edge_list_construction(self, n):
         assert gen_extremal_total_irr(n) == extremal_from_edges(n)
 
@@ -259,6 +275,10 @@ class TestRandomTree:
 
     def test_deterministic_per_seed(self):
         assert gen_random_tree(10, 7) == gen_random_tree(10, 7)
+
+    def test_pruefer_sequence_of_wrong_length_rejected(self):
+        with pytest.raises(InputError, match="Pruefer sequence for n=5 must have length 3"):
+            tree_from_pruefer(5, [1])
 
 
 class TestConnectivity:

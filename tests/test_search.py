@@ -168,6 +168,19 @@ class TestVerifyTheorem1:
         assert cli_main(["search", "theorem1", "--n", "5"], out=io.StringIO()) == 2
         assert capsys.readouterr().err.startswith("internal error: theorem1 witness")
 
+    def test_exhaustive_maximum_above_the_formula_falsifies(self, monkeypatch, capsys):
+        # a scorer one above the true value on every code: the scan's
+        # maximum then exceeds the closed form
+        score = search._block_irregularity
+        monkeypatch.setattr(search, "_block_irregularity", lambda *args: score(*args) + 1)
+        message = "exhaustive max irr_t at n=4 is 7, formula says 6"
+        with pytest.raises(FalsificationError, match=message):
+            verify_theorem1(4)
+        out = io.StringIO()
+        assert cli_main(["search", "theorem1", "--n", "4"], out=out) == 2
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == f"internal error: {message}\n"
+
     def test_scores_only_the_lower_half(self, monkeypatch):
         # 2^21 graphs at n = 7; the 2^20 with the top bit set are covered
         # by their complements
