@@ -188,7 +188,7 @@ class BoundScan:
         if g.n * h.n > INT64_MAX_PAIR:
             terms = [t.astype(object) for t in terms]
         m1, m2, tg, th = terms
-        bound = np.broadcast_to(_bound_formula(kind, g.n, m1, h.n, m2, tg, th), actual.shape)
+        bound = _bound_formula(kind, g.n, m1, h.n, m2, tg, th)
         ok = _hypothesis_ok(kind, g, a, h, b)
         slack = bound - actual
         bad = np.flatnonzero(ok & (slack < 0))

@@ -7,6 +7,7 @@ total irregularity on n vertices (matching vs. apex variant by parity).
 from __future__ import annotations
 
 import bisect
+import operator
 import random
 from typing import Sequence
 
@@ -99,15 +100,19 @@ def gen_random_tree(n: int, seed: int) -> Graph:
 
 
 def tree_from_pruefer(n: int, seq: Sequence[int]) -> Graph:
-    """Standard Pruefer decoding: repeatedly join the smallest leaf."""
+    """Standard Pruefer decoding: repeatedly join the smallest leaf, once
+    every entry is checked to be an integer in [0, n)."""
     if len(seq) != n - 2:
         raise InputError(f"Pruefer sequence for n={n} must have length {n - 2}")
     count = [0] * n
-    for v in seq:
+    entries = [operator.index(v) if hasattr(type(v), "__index__") else None for v in seq]
+    for i, v in enumerate(entries):
+        if v is None or not 0 <= v < n:
+            raise InputError(f"Pruefer entry {i} is {seq[i]!r}, not an integer in [0, {n - 1}]")
         count[v] += 1
     edges = []
     leaves = sorted(i for i in range(n) if count[i] == 0)
-    for v in seq:
+    for v in entries:
         leaf = leaves.pop(0)
         edges.append((leaf, v))
         count[v] -= 1

@@ -14,18 +14,17 @@ sums pass over the adjacency in row tiles of graph.SYMMETRY_TILE rows.
   cap); it is cast to int64 before its dot with d.
 
 Every int64 sum above is below n^4/2, which int64 holds for n < 65 536,
-far above the graph6 cap of 4096 vertices.  Degree variance and the
-Collatz-Sinogowitz index are the only floating-point quantities.  The
-largest eigenvalue behind the latter is certified by a Collatz-Wielandt
-bracket on a power iteration, O(n^2) per step, and comes from the O(n^3)
-dense eigensolver only when the bracket does not close (see
-spectral_radius).
+far above the graph6 cap of 4096 vertices.  Degree variance (one
+division of exact ints, so correctly rounded) and the Collatz-Sinogowitz
+index are the only floats.  The largest eigenvalue behind the latter is
+certified by a Collatz-Wielandt bracket on a power iteration, O(n^2) per
+step, and comes from the O(n^3) dense eigensolver only when the bracket
+does not close (see spectral_radius).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -107,16 +106,10 @@ def zagreb_m2(g: Graph) -> int:
 
 
 def degree_variance(g: Graph) -> float:
-    """Variance of the degree multiset about the average degree 2m/n.
-
-    Evaluated from the degree-frequency counts n_i; the count for degree 0
-    is included so the identity Var = M1/n - (2m/n)^2 holds on every graph,
-    isolated vertices included.
-    """
-    n = g.n
-    avg = 2 * g.m / n
-    counts = Counter(g.degrees())
-    return sum(cnt * (d - avg) ** 2 for d, cnt in counts.items()) / n
+    """Variance of the degree multiset about the average degree 2m/n,
+    isolated vertices included: M1/n - (2m/n)^2 = (n M1 - (2m)^2) / n^2,
+    whose one true division of exact ints is correctly rounded."""
+    return (g.n * zagreb_m1(g) - (2 * g.m) ** 2) / g.n**2
 
 
 def spectral_radius(g: Graph) -> float:

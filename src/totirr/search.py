@@ -20,8 +20,9 @@ weighted sum of the sorted rows.
 Sweeps and the probe score operand pairs as rows.  Each side is a
 `bounds.Operands` pool of int64 degree rows: the codes (sweep), the
 battery (probe), or each sample's bits from one `rng.randbytes` call per
-batch (probe).  `BoundScan.check` scores a batch of index pairs at once,
-about 2^14 array cells; `_check_all_pairs` checks every pair of two pools.
+batch (probe); `_degree_rows` is the one map from graph6 bits to degrees.
+`BoundScan.check` scores a batch of index pairs at once, about 2^14
+array cells; `_check_all_pairs` checks every pair of two pools.
 A Graph is built only for a pool operand whose connectivity a hypothesis
 needs, a witness, or a falsification.
 """
@@ -91,12 +92,18 @@ class SearchOutcome:
     seed: Optional[int] = None
 
 
+def _degree_rows(n: int, bits: np.ndarray) -> np.ndarray:
+    """int64 degree rows of the n-vertex graphs whose graph6 bits are the rows of `bits`."""
+    adj = np.zeros((len(bits), n, n), dtype=bool)
+    # a mask of the array's full shape is scattered directly; adj[:, mask]
+    # would first expand the mask to index arrays, 134 MB at n = 4096
+    adj[np.broadcast_to(triangle_mask(n), adj.shape)] = bits.ravel()
+    return adj.sum(axis=1, dtype=np.int64) + adj.sum(axis=2, dtype=np.int64)
+
+
 def _pair_incidence(n: int) -> np.ndarray:
-    """k x n 0/1 matrix mapping upper-triangle bits to vertex degrees."""
-    # bit t is the edge between vertices rows[t] and cols[t]
-    rows, cols = np.nonzero(triangle_mask(n))
-    one_hot = np.eye(n, dtype=np.int64)
-    return one_hot[rows] + one_hot[cols]
+    """k x n 0/1 bit-to-degree matrix: the k one-edge graphs' degree rows."""
+    return _degree_rows(n, np.eye(n * (n - 1) // 2, dtype=bool))
 
 
 def _bit_degrees(incidence: np.ndarray) -> np.ndarray:
@@ -269,12 +276,7 @@ def _deterministic_battery(n: int) -> List[Graph]:
 
 def _sampled_operands(n: int, bits: np.ndarray) -> Operands:
     """The graphs on n vertices whose graph6 bits are the rows of `bits`."""
-    adj = np.zeros((len(bits), n, n), dtype=bool)
-    # a mask of the array's full shape is scattered directly; adj[:, mask]
-    # would first expand the mask to index arrays, 134 MB at n = 4096
-    adj[np.broadcast_to(triangle_mask(n), adj.shape)] = bits.ravel()
-    degrees = adj.sum(axis=1, dtype=np.int64) + adj.sum(axis=2, dtype=np.int64)
-    return Operands(degrees, lambda i: graph_from_bits(n, bits[i]))
+    return Operands(_degree_rows(n, bits), lambda i: graph_from_bits(n, bits[i]))
 
 
 def probe_open_problem(

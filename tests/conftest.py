@@ -1,3 +1,4 @@
+import io
 import random
 from typing import Sequence, Tuple
 
@@ -12,6 +13,11 @@ from totirr.products import product_degree_rows
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
     """G(n, p): one rng.random() draw per vertex pair, in graph6 bit order."""
     return graph_from_bits(n, [rng.random() < p for _ in range(n * (n - 1) // 2)])
+
+
+def stdin_of(text):
+    """A stand-in for sys.stdin whose buffer holds the ASCII bytes of text."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("ascii")), encoding="ascii")
 
 
 def labeled_graphs(n: int) -> list:

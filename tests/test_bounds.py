@@ -216,7 +216,8 @@ class TestSharpnessFamilies:
     ids=["evaluate_bound", "sweep_operation_bounds", "probe_open_problem"],
 )
 def test_falsification_names_both_operands(run, g6_g, g6_h, monkeypatch):
-    monkeypatch.setattr("totirr.bounds._bound_formula", lambda *args: -1)
+    # a row of -1s: every formula has a tg or th term, so gives a row
+    monkeypatch.setattr("totirr.bounds._bound_formula", lambda kind, n1, m1, n2, m2, tg, th: tg * 0 - 1)
     with pytest.raises(FalsificationError) as exc:
         run()
     assert f"g={g6_g} " in str(exc.value) and f"h={g6_h} " in str(exc.value)

@@ -13,6 +13,8 @@ import totirr
 from totirr import emit_graph6, gen_cycle, gen_empty, gen_path, parse_graph6, parse_record
 from totirr.cli import cli_main
 
+from conftest import stdin_of
+
 
 def run_cli(*argv):
     out = io.StringIO()
@@ -30,11 +32,6 @@ def test_gen_tree_seeded():
     _, a = run_cli("gen", "tree", "8", "--seed", "5")
     _, b = run_cli("gen", "tree", "8", "--seed", "5")
     assert a == b
-
-
-def stdin_of(text):
-    """A stand-in for sys.stdin whose buffer holds the ASCII bytes of text."""
-    return io.TextIOWrapper(io.BytesIO(text.encode("ascii")), encoding="ascii")
 
 
 def test_compute_from_stdin(monkeypatch):

@@ -117,6 +117,12 @@ class TestGraph6Parse:
         with pytest.raises(Graph6ParseError, match="trailing"):
             parse_graph6("Bww")
 
+    @pytest.mark.parametrize("s", ["~", "~?", "~??"])
+    def test_truncated_extended_header(self, s):
+        with pytest.raises(Graph6ParseError, match=r"truncated extended header \(byte offset \d\)$") as exc:
+            parse_graph6(s)
+        assert exc.value.offset == len(s)
+
     def test_huge_header_rejected(self):
         with pytest.raises(Graph6ParseError, match="huge"):
             parse_graph6("~~?????")

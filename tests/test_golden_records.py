@@ -3,8 +3,15 @@
 stored as a sha256), `search sweep` for all 8 ops at every n1, n2 <= 4,
 `search theorem1` for n = 2..7, `gen` for every family at small n and
 `gen extremal` at n = 255, 256, 257, 513 and 4096 (across the symmetry
-tiles' edges), and `op` for every kind on five operand pairs.  Records
-longer than 2000 bytes are stored as their length and sha256.
+tiles' edges), `op` for every kind on five operand pairs, `compute` with
+all six indices on every family at n = 1, 2, 7, 64 and 300 (each distinct
+graph once), five multipartite graphs and eight seeded
+conftest.random_graph inputs, and `bound` for every kind on five operand
+pairs (one failing the join and corona connectivity hypotheses, one
+failing their size ordering, one with n1 * n2 > 4096) plus
+`bound theorem1` at five n.  A record with a `stdin` field reads it as
+standard input.  Records longer than 2000 bytes are stored as their
+length and sha256.
 
 The probe and sweep records in tests/data/golden_records.json were
 captured from the per-pair implementation, which built a Graph for every
@@ -13,7 +20,10 @@ reproduce them exactly.  The theorem1 records were captured from the
 int64 row-sort scan; the int16 sorting-network scan must reproduce them.
 The gen and op records were captured while the extremal graph was still
 completed with a whole-matrix transpose and graph_from_bits kept its own
-mirror loop; graph.mirror_lower must reproduce them.
+mirror loop; graph.mirror_lower must reproduce them.  The compute
+records were captured while degree_variance still summed squared float
+deviations over a degree Counter; the exact M1 identity must print the
+same 12 significant digits.
 """
 
 import hashlib
@@ -23,17 +33,29 @@ from pathlib import Path
 import pytest
 
 from totirr import ProductKind
-from totirr.cli import FAMILIES, cli_main
+from totirr.cli import FAMILIES, INDEX_FUNCS, PRODUCT_TAGS, cli_main
+
+from conftest import stdin_of
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_records.json").read_text())
 
 
+def _record_id(record):
+    """The arguments after the command, then a digest of any stdin."""
+    name = " ".join(record["argv"][1:])
+    if "stdin" in record:
+        name += " < stdin " + hashlib.sha256(record["stdin"].encode("ascii")).hexdigest()[:12]
+    return name
+
+
 @pytest.mark.parametrize(
     "record",
-    GOLDEN["probe"] + GOLDEN["sweep"] + GOLDEN["theorem1"] + GOLDEN["gen"] + GOLDEN["op"],
-    ids=lambda r: " ".join(r["argv"][1:]),
+    [r for records in GOLDEN.values() for r in records],
+    ids=_record_id,
 )
-def test_record_unchanged(record, capsys):
+def test_record_unchanged(record, capsys, monkeypatch):
+    if "stdin" in record:
+        monkeypatch.setattr("sys.stdin", stdin_of(record["stdin"]))
     assert cli_main(record["argv"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
@@ -52,3 +74,5 @@ def test_every_sweep_size_and_op_is_pinned():
 def test_every_family_and_op_kind_is_pinned():
     assert {r["argv"][1] for r in GOLDEN["gen"]} == set(FAMILIES)
     assert {r["argv"][1] for r in GOLDEN["op"]} == {k.value for k in ProductKind}
+    assert {r["argv"][1] for r in GOLDEN["bound"]} == set(PRODUCT_TAGS) | {"theorem1"}
+    assert {name for r in GOLDEN["compute"] for name in r["argv"][2].split(",")} == set(INDEX_FUNCS)

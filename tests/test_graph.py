@@ -66,6 +66,13 @@ class TestConstruction:
         with pytest.raises(InputError):
             from_edge_list(0, [])
 
+    def test_not_equal_to_a_non_graph(self):
+        assert (gen_path(4) == "x") is False
+        assert gen_path(4) != "x"
+
+    def test_repr(self):
+        assert repr(gen_path(4)) == "Graph(n=4, m=3)"
+
     def test_asymmetric_adjacency_rejected(self):
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = True
@@ -279,6 +286,24 @@ class TestRandomTree:
     def test_pruefer_sequence_of_wrong_length_rejected(self):
         with pytest.raises(InputError, match="Pruefer sequence for n=5 must have length 3"):
             tree_from_pruefer(5, [1])
+
+    @pytest.mark.parametrize(
+        "seq,message",
+        [
+            ([7, 0, 0], "Pruefer entry 0 is 7, not an integer in [0, 4]"),
+            ([0, 1.5, 0], "Pruefer entry 1 is 1.5, not an integer in [0, 4]"),
+            ([0, 0, -1], "Pruefer entry 2 is -1, not an integer in [0, 4]"),
+        ],
+        ids=["too-large", "float", "negative"],
+    )
+    def test_bad_pruefer_entry_rejected_before_decoding(self, seq, message):
+        with pytest.raises(InputError) as exc:
+            tree_from_pruefer(5, seq)
+        assert str(exc.value) == message
+
+    def test_pruefer_entries_taken_as_ints(self):
+        # numpy ints and bools index like the ints they equal
+        assert tree_from_pruefer(5, [np.int64(1), True, 4]) == tree_from_pruefer(5, [1, 1, 4])
 
 
 class TestConnectivity:

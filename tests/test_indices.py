@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from totirr import (
     gen_complete_multipartite,
     gen_cycle,
     gen_empty,
+    gen_extremal_total_irr,
     gen_path,
     gen_random_tree,
     gen_star,
@@ -213,6 +215,33 @@ class TestDegreeVariance:
             g = random_graph(rng.randint(1, 20), rng)
             expected = zagreb_m1(g) / g.n - (2 * g.m / g.n) ** 2
             assert degree_variance(g) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    @staticmethod
+    def correctly_rounded(g):
+        """The exact variance sum (n d - 2m)^2 / n^3, rounded once."""
+        n, m = g.n, g.m
+        return float(Fraction(sum((n * d - 2 * m) ** 2 for d in g.degrees()), n**3))
+
+    def test_correctly_rounded_on_every_labeled_graph_up_to_5(self):
+        # the star S_6, by the Counter sum of float squares, gave 2.222222222222222
+        assert degree_variance(gen_star(6)) == 2.2222222222222223
+        graphs = [g for n in range(1, 6) for g in labeled_graphs(n)]
+        assert len(graphs) == 1099
+        assert [degree_variance(g) for g in graphs] == [self.correctly_rounded(g) for g in graphs]
+
+    def test_correctly_rounded_on_every_family_up_to_300(self):
+        for n in range(1, 301):
+            graphs = [gen_path(n), gen_star(n), gen_empty(n), gen_complete(n), gen_random_tree(n, n)]
+            graphs += [gen_complete_multipartite([1 + n // 3, n - 1 - n // 3])] if n >= 2 else []
+            graphs += [gen_cycle(n)] if n >= 3 else []
+            graphs += [gen_extremal_total_irr(n)] if n >= 2 else []
+            for g in graphs:
+                assert degree_variance(g) == self.correctly_rounded(g), (n, g)
+
+    def test_correctly_rounded_on_random_graphs(self, rng):
+        for _ in range(200):
+            g = random_graph(rng.randint(1, 120), rng, p=rng.random())
+            assert degree_variance(g) == self.correctly_rounded(g)
 
 
 class TestCollatzSinogowitz:
