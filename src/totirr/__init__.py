@@ -36,18 +36,7 @@ from .indices import (
     zagreb_m1,
     zagreb_m2,
 )
-from .products import (
-    ProductKind,
-    apply_product,
-    cartesian,
-    corona,
-    direct,
-    disjunction,
-    join,
-    lexicographic,
-    strong,
-    symmetric_difference,
-)
+from .products import ProductKind, apply_product, corona, join
 from .search import (
     SearchOutcome,
     graph_from_code,

@@ -6,6 +6,7 @@ everywhere (every operation in this package presumes a nonempty vertex set).
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Tuple
 
 import numpy as np
@@ -109,13 +110,18 @@ class Graph:
 def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     """Build a graph from unordered vertex pairs; duplicates collapse.
 
-    Raises InputError for out-of-range endpoints or self-loops, naming the
-    offending pair.
+    Endpoints are taken as integers by operator.index, so a bool is 0 or 1.
+    Raises InputError for anything but a pair of integers, out-of-range
+    endpoints or self-loops, naming the offending pair.
     """
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
     adj = np.zeros((n, n), dtype=bool)
-    for u, v in edges:
+    for pair in edges:
+        try:
+            u, v = map(operator.index, pair)
+        except (TypeError, ValueError):
+            raise InputError(f"edge {pair!r} is not a pair of integers") from None
         if u == v:
             raise InputError(f"self-loop ({u}, {v}) is not allowed")
         if not (0 <= u < n and 0 <= v < n):

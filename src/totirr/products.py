@@ -2,12 +2,18 @@
 disjunction and symmetric difference.
 
 All n1*n2-vertex products label the composite vertex (u, v) as u * n2 + v,
-which is exactly the Kronecker-product block layout, so each adjacency is a
-short boolean expression in np.kron.  Corona places g's vertices first,
-followed by the copies of h in order.  product_degree_rows gives the same
-composites' degree sequences from the operands' degrees alone, one operand
-pair per row; it is the one way to get a composite's degree sequence
-without building the composite.
+which is exactly the Kronecker-product block layout.  Each of the six is a
+sum of signed Kronecker terms c * X (x) Y in KRONECKER_TERMS, with X one of
+g's adjacency A, the identity I or the all-ones J, and Y one of h's B, I
+or J.  The adjacency is the sum of the terms' np.krons, which has 0/1
+entries, so apply_product takes it as the XOR of the odd-coefficient
+terms.  The degree rows sum the same terms with each factor replaced by
+its row sums, since X (x) Y has row sum x(u) * y(v) at (u, v): d_g or d_h
+for A and B, 1 for I, and n1 or n2 for J.  Join and corona are block
+builders; corona places g's vertices first, followed by the copies of h
+in order.  product_degree_rows gives the composites' degree sequences
+from the operands' degrees alone, one operand pair per row; it is the one
+way to get a composite's degree sequence without building the composite.
 """
 
 from __future__ import annotations
@@ -30,6 +36,21 @@ class ProductKind(str, Enum):
     SYMDIFF = "symdiff"
 
 
+# (c, X, Y) for each term c * X (x) Y (Hammack, Imrich & Klavzar, Handbook
+# of Product Graphs, 2nd ed., 2011).  Every sum has 0/1 entries: the terms
+# of the first four kinds are disjoint, and the last two count the overlap
+# A (x) B of A (x) J and J (x) B once and not at all.  Every term has A or
+# B as a factor, so every sum has an empty diagonal.
+KRONECKER_TERMS = {
+    ProductKind.LEXICOGRAPHIC: ((1, "A", "J"), (1, "I", "B")),
+    ProductKind.CARTESIAN: ((1, "A", "I"), (1, "I", "B")),
+    ProductKind.STRONG: ((1, "A", "I"), (1, "I", "B"), (1, "A", "B")),
+    ProductKind.DIRECT: ((1, "A", "B"),),
+    ProductKind.DISJUNCTION: ((1, "A", "J"), (1, "J", "B"), (-1, "A", "B")),
+    ProductKind.SYMDIFF: ((1, "A", "J"), (1, "J", "B"), (-2, "A", "B")),
+}
+
+
 def join(g: Graph, h: Graph) -> Graph:
     """Both graphs plus every cross edge.  d(u) gains n2 on the g side
     and n1 on the h side."""
@@ -38,60 +59,6 @@ def join(g: Graph, h: Graph) -> Graph:
     adj[:n1, :n1] = g.adjacency
     adj[n1:, n1:] = h.adjacency
     return Graph(adj)
-
-
-def _eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=bool)
-
-
-def _ones(n: int) -> np.ndarray:
-    return np.ones((n, n), dtype=bool)
-
-
-def lexicographic(g: Graph, h: Graph) -> Graph:
-    """(u,v) ~ (u',v') iff u ~ u', or u = u' and v ~ v'.
-    Degrees: n2*d_g(u) + d_h(v)."""
-    a = np.kron(g.adjacency, _ones(h.n)) | np.kron(_eye(g.n), h.adjacency)
-    return Graph(a)
-
-
-def cartesian(g: Graph, h: Graph) -> Graph:
-    """Adjacent in exactly one coordinate, equal in the other.
-    Degrees: d_g(u) + d_h(v)."""
-    a = np.kron(g.adjacency, _eye(h.n)) | np.kron(_eye(g.n), h.adjacency)
-    return Graph(a)
-
-
-def direct(g: Graph, h: Graph) -> Graph:
-    """Adjacent in both coordinates.  Degrees: d_g(u) * d_h(v);
-    edge count 2*m1*m2."""
-    return Graph(np.kron(g.adjacency, h.adjacency))
-
-
-def strong(g: Graph, h: Graph) -> Graph:
-    """Union of the Cartesian and direct adjacencies.
-    Degrees: d_g + d_h + d_g*d_h; edge count m1*n2 + m2*n1 + 2*m1*m2."""
-    a = (
-        np.kron(g.adjacency, _eye(h.n))
-        | np.kron(_eye(g.n), h.adjacency)
-        | np.kron(g.adjacency, h.adjacency)
-    )
-    return Graph(a)
-
-
-def disjunction(g: Graph, h: Graph) -> Graph:
-    """Adjacent in at least one coordinate (inclusive or).
-    Degrees: n2*d_g + n1*d_h - d_g*d_h."""
-    a = np.kron(g.adjacency, _ones(h.n)) | np.kron(_ones(g.n), h.adjacency)
-    np.fill_diagonal(a, False)
-    return Graph(a)
-
-
-def symmetric_difference(g: Graph, h: Graph) -> Graph:
-    """Adjacent in exactly one coordinate (exclusive or).
-    Degrees: n2*d_g + n1*d_h - 2*d_g*d_h."""
-    a = np.kron(g.adjacency, _ones(h.n)) ^ np.kron(_ones(g.n), h.adjacency)
-    return Graph(a)
 
 
 def corona(g: Graph, h: Graph) -> Graph:
@@ -113,20 +80,26 @@ def corona(g: Graph, h: Graph) -> Graph:
     return Graph(adj)
 
 
-PRODUCT_FUNCS = {
-    ProductKind.JOIN: join,
-    ProductKind.LEXICOGRAPHIC: lexicographic,
-    ProductKind.CARTESIAN: cartesian,
-    ProductKind.STRONG: strong,
-    ProductKind.DIRECT: direct,
-    ProductKind.CORONA: corona,
-    ProductKind.DISJUNCTION: disjunction,
-    ProductKind.SYMDIFF: symmetric_difference,
-}
+def _factors(adj: np.ndarray, name: str) -> dict:
+    n = adj.shape[0]
+    return {name: adj, "I": np.eye(n, dtype=bool), "J": np.ones((n, n), dtype=bool)}
 
 
 def apply_product(kind: ProductKind, g: Graph, h: Graph) -> Graph:
-    return PRODUCT_FUNCS[ProductKind(kind)](g, h)
+    """The composite of g and h.  A Kronecker kind's signed sum has 0/1
+    entries, so each entry is its own parity: the sum is the XOR of the
+    terms with odd coefficients, evaluated in bool one np.kron at a time."""
+    kind = ProductKind(kind)
+    if kind is ProductKind.JOIN:
+        return join(g, h)
+    if kind is ProductKind.CORONA:
+        return corona(g, h)
+    x_factors, y_factors = _factors(g.adjacency, "A"), _factors(h.adjacency, "B")
+    odd = (np.kron(x_factors[x], y_factors[y]) for c, x, y in KRONECKER_TERMS[kind] if c % 2)
+    adj = next(odd)
+    for term in odd:
+        adj ^= term
+    return Graph(adj)
 
 
 def product_degree_rows(kind: ProductKind, dg: np.ndarray, dh: np.ndarray) -> np.ndarray:
@@ -136,7 +109,7 @@ def product_degree_rows(kind: ProductKind, dg: np.ndarray, dh: np.ndarray) -> np
     labelling.  Every entry and intermediate value is below
     3 (n1 + 1)(n2 + 1), so int64 is exact.
 
-    Each entry is the degree identity stated in the operation's docstring,
+    A Kronecker kind sums its KRONECKER_TERMS over the factors' row sums,
     so no adjacency is built; apply_product is the oracle it is tested
     against.
     """
@@ -147,17 +120,11 @@ def product_degree_rows(kind: ProductKind, dg: np.ndarray, dh: np.ndarray) -> np
     if kind is ProductKind.CORONA:
         return np.concatenate([dg + n2, np.tile(dh + 1, (1, n1))], axis=1)
     # composite vertex (u, v) is u * n2 + v: row-major over (n1, n2)
-    a, b = dg[:, :, None], dh[:, None, :]
-    if kind is ProductKind.LEXICOGRAPHIC:
-        d = n2 * a + b
-    elif kind is ProductKind.CARTESIAN:
-        d = a + b
-    elif kind is ProductKind.STRONG:
-        d = a + b + a * b
-    elif kind is ProductKind.DIRECT:
-        d = a * b
-    elif kind is ProductKind.DISJUNCTION:
-        d = n2 * a + n1 * b - a * b
-    else:
-        d = n2 * a + n1 * b - 2 * a * b
+    x_rows, y_rows = {"A": dg[:, :, None], "J": n1}, {"B": dh[:, None, :], "J": n2}
+    d = 0
+    for c, x, y in KRONECKER_TERMS[kind]:
+        # I's row sums are 1, and a unit coefficient is a sign: neither
+        # costs a pass over the rows
+        term = y_rows[y] if x == "I" else x_rows[x] if y == "I" else x_rows[x] * y_rows[y]
+        d = d + term if c == 1 else d - term if c == -1 else d + c * term
     return d.reshape(len(d), n1 * n2)

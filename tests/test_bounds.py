@@ -89,11 +89,10 @@ class TestCartesianBound:
         assert report.bound == 36 and report.actual == 36 and report.tight
 
     def test_p3_grid(self):
-        from totirr import cartesian
-
         report = evaluate_bound(ProductKind.CARTESIAN, gen_path(3), gen_path(3))
         assert report.bound == 36
-        assert report.actual == graph_total_irregularity(cartesian(gen_path(3), gen_path(3)))
+        grid = apply_product(ProductKind.CARTESIAN, gen_path(3), gen_path(3))
+        assert report.actual == graph_total_irregularity(grid)
 
 
 class TestStrongBound:

@@ -3,15 +3,16 @@
 stored as a sha256), `search sweep` for all 8 ops at every n1, n2 <= 4,
 `search theorem1` for n = 2..7, `gen` for every family at small n and
 `gen extremal` at n = 255, 256, 257, 513 and 4096 (across the symmetry
-tiles' edges), `op` for every kind on five operand pairs, `compute` with
-all six indices on every family at n = 1, 2, 7, 64 and 300 (each distinct
-graph once), five multipartite graphs and eight seeded
-conftest.random_graph inputs, and `bound` for every kind on five operand
-pairs (one failing the join and corona connectivity hypotheses, one
-failing their size ordering, one with n1 * n2 > 4096) plus
-`bound theorem1` at five n.  A record with a `stdin` field reads it as
-standard input.  Records longer than 2000 bytes are stored as their
-length and sha256.
+tiles' edges), `op` for every kind on five operand pairs and at the
+4096-vertex cap (extremal(64) by P_64; corona on extremal(63) by P_64,
+4095 vertices), `compute` with all six indices on every family at
+n = 1, 2, 7, 64 and 300 (each distinct graph once), five multipartite
+graphs and eight seeded conftest.random_graph inputs, and `bound` for
+every kind on five operand pairs (one failing the join and corona
+connectivity hypotheses, one failing their size ordering, one with
+n1 * n2 > 4096) plus `bound theorem1` at five n.  A record with a
+`stdin` field reads it as standard input.  Records longer than 2000
+bytes are stored as their length and sha256.
 
 The probe and sweep records in tests/data/golden_records.json were
 captured from the per-pair implementation, which built a Graph for every
@@ -20,10 +21,13 @@ reproduce them exactly.  The theorem1 records were captured from the
 int64 row-sort scan; the int16 sorting-network scan must reproduce them.
 The gen and op records were captured while the extremal graph was still
 completed with a whole-matrix transpose and graph_from_bits kept its own
-mirror loop; graph.mirror_lower must reproduce them.  The compute
-records were captured while degree_variance still summed squared float
-deviations over a degree Counter; the exact M1 identity must print the
-same 12 significant digits.
+mirror loop; graph.mirror_lower must reproduce them.  The op records,
+the cap ones included, were also captured from the per-kind product
+functions, each a bool np.kron formula of its own; the one signed
+Kronecker term table (products.KRONECKER_TERMS) must reproduce them.
+The compute records were captured while degree_variance still summed
+squared float deviations over a degree Counter; the exact M1 identity
+must print the same 12 significant digits.
 """
 
 import hashlib

@@ -62,6 +62,22 @@ class TestConstruction:
         with pytest.raises(InputError, match="self-loop"):
             from_edge_list(3, [(1, 1)])
 
+    @pytest.mark.parametrize(
+        "edge,expected",
+        [((1, False), (1, 0)), ((2, True), (2, 1)), ((np.int64(2), 0), (2, 0))],
+        ids=["false-is-0", "true-is-1", "numpy-int"],
+    )
+    def test_endpoints_taken_as_ints(self, edge, expected):
+        assert from_edge_list(3, [edge]) == from_edge_list(3, [expected])
+
+    @pytest.mark.parametrize(
+        "edge,shown", [((1.0, 2), r"\(1\.0, 2\)"), (5, "5"), ((0, 1, 2), r"\(0, 1, 2\)")],
+        ids=["float", "not-a-pair", "triple"],
+    )
+    def test_not_a_pair_of_integers_rejected(self, edge, shown):
+        with pytest.raises(InputError, match=f"edge {shown} is not a pair of integers"):
+            from_edge_list(3, [edge])
+
     def test_zero_vertices_rejected(self):
         with pytest.raises(InputError):
             from_edge_list(0, [])

@@ -1,23 +1,20 @@
+import networkx as nx
 import numpy as np
 import pytest
 
 from totirr import (
+    Graph,
     ProductKind,
     apply_product,
-    cartesian,
     corona,
-    direct,
-    disjunction,
     gen_complete,
     gen_cycle,
     gen_empty,
     gen_path,
     graph_total_irregularity,
     join,
-    lexicographic,
-    strong,
-    symmetric_difference,
 )
+from totirr.products import KRONECKER_TERMS
 
 from conftest import product_degrees, random_graph
 
@@ -26,6 +23,60 @@ K1 = gen_empty(1)
 
 def composite_label(u, v, n2):
     return u * n2 + v
+
+
+@pytest.mark.parametrize("kind", list(KRONECKER_TERMS))
+def test_signed_term_sum_is_the_adjacency(kind, rng):
+    """The table's integer sum, with no parity taken, is the bool adjacency."""
+    for _ in range(25):
+        g = random_graph(rng.randint(1, 6), rng)
+        h = random_graph(rng.randint(1, 6), rng)
+        x_factors = {"A": g.adjacency, "I": np.eye(g.n), "J": np.ones((g.n, g.n))}
+        y_factors = {"B": h.adjacency, "I": np.eye(h.n), "J": np.ones((h.n, h.n))}
+        total = sum(c * np.kron(x_factors[x], y_factors[y]) for c, x, y in KRONECKER_TERMS[kind])
+        assert np.array_equal(total, apply_product(kind, g, h).adjacency)
+
+
+def _networkx_composite(kind, g, h):
+    """kind's composite of g and h from networkx alone, relabelled to
+    apply_product's vertex order."""
+    n1, n2 = g.n, h.n
+    G, H = nx.from_numpy_array(g.adjacency), nx.from_numpy_array(h.adjacency)
+    if kind is ProductKind.JOIN:
+        composite = nx.full_join(G, nx.relabel_nodes(H, lambda v: n1 + v))
+        return composite, lambda x: x
+    if kind is ProductKind.CORONA:
+        composite = nx.corona_product(G, H)
+        return composite, lambda x: x if isinstance(x, int) else n1 + composite_label(*x, n2)
+    products = {
+        ProductKind.LEXICOGRAPHIC: nx.lexicographic_product,
+        ProductKind.CARTESIAN: nx.cartesian_product,
+        ProductKind.STRONG: nx.strong_product,
+        ProductKind.DIRECT: nx.tensor_product,
+    }
+    if kind in products:
+        composite = products[kind](G, H)
+    else:
+        composite = nx.complement(nx.strong_product(nx.complement(G), nx.complement(H)))
+        if kind is ProductKind.SYMDIFF:
+            composite.remove_edges_from(nx.tensor_product(G, H).edges)
+    return composite, lambda x: composite_label(*x, n2)
+
+
+@pytest.mark.parametrize("kind", list(ProductKind))
+def test_agrees_with_networkx(kind, rng):
+    """Every kind against networkx's own products on 120 seeded pairs with
+    n1, n2 in 1..6; a third of the operands are edgeless."""
+    for i in range(120):
+        g = random_graph(rng.randint(1, 6), rng, p=(0.0, 0.5, 0.8)[i % 3])
+        h = random_graph(rng.randint(1, 6), rng, p=(0.5, 0.0, 0.3)[i % 3])
+        composite, label = _networkx_composite(kind, g, h)
+        expected = apply_product(kind, g, h)
+        adj = np.zeros((expected.n, expected.n), dtype=bool)
+        assert sorted(map(label, composite.nodes)) == list(range(expected.n))
+        for a, b in composite.edges:
+            adj[label(a), label(b)] = adj[label(b), label(a)] = True
+        assert Graph(adj) == expected
 
 
 @pytest.mark.parametrize("kind", list(ProductKind))
@@ -43,8 +94,8 @@ def test_edge_count_identities(rng):
         h = random_graph(rng.randint(1, 6), rng)
         n1, m1, n2, m2 = g.n, g.m, h.n, h.m
         assert join(g, h).m == m1 + m2 + n1 * n2
-        assert direct(g, h).m == 2 * m1 * m2
-        assert strong(g, h).m == m1 * n2 + m2 * n1 + 2 * m1 * m2
+        assert apply_product(ProductKind.DIRECT, g, h).m == 2 * m1 * m2
+        assert apply_product(ProductKind.STRONG, g, h).m == m1 * n2 + m2 * n1 + 2 * m1 * m2
         assert corona(g, h).m == m1 + n1 * m2 + n1 * n2
 
 
@@ -52,37 +103,34 @@ def test_strong_is_disjoint_union_of_cartesian_and_direct(rng):
     for _ in range(20):
         g = random_graph(rng.randint(1, 5), rng)
         h = random_graph(rng.randint(1, 5), rng)
-        ac = cartesian(g, h).adjacency
-        ad = direct(g, h).adjacency
+        ac = apply_product(ProductKind.CARTESIAN, g, h).adjacency
+        ad = apply_product(ProductKind.DIRECT, g, h).adjacency
         assert not (ac & ad).any()
-        assert np.array_equal(ac | ad, strong(g, h).adjacency)
+        assert np.array_equal(ac | ad, apply_product(ProductKind.STRONG, g, h).adjacency)
 
 
 def test_symdiff_is_disjunction_minus_direct(rng):
     for _ in range(20):
         g = random_graph(rng.randint(1, 5), rng)
         h = random_graph(rng.randint(1, 5), rng)
-        av = disjunction(g, h).adjacency
-        ad = direct(g, h).adjacency
-        assert np.array_equal(av & ~ad, symmetric_difference(g, h).adjacency)
+        av = apply_product(ProductKind.DISJUNCTION, g, h).adjacency
+        ad = apply_product(ProductKind.DIRECT, g, h).adjacency
+        assert np.array_equal(av & ~ad, apply_product(ProductKind.SYMDIFF, g, h).adjacency)
 
 
-@pytest.mark.parametrize(
-    "op", [cartesian, strong, direct, disjunction, symmetric_difference]
-)
-def test_degree_multiset_commutes(op, rng):
+@pytest.mark.parametrize("kind", [k for k in KRONECKER_TERMS if k is not ProductKind.LEXICOGRAPHIC])
+def test_degree_multiset_commutes(kind, rng):
     for _ in range(15):
         g = random_graph(rng.randint(1, 5), rng)
         h = random_graph(rng.randint(1, 5), rng)
-        assert sorted(op(g, h).degrees()) == sorted(op(h, g).degrees())
+        gh, hg = apply_product(kind, g, h), apply_product(kind, h, g)
+        assert sorted(gh.degrees()) == sorted(hg.degrees())
 
 
-@pytest.mark.parametrize(
-    "op", [lexicographic, cartesian, strong, direct, disjunction, symmetric_difference]
-)
-def test_regular_operands_give_regular_composite(op):
+@pytest.mark.parametrize("kind", list(KRONECKER_TERMS))
+def test_regular_operands_give_regular_composite(kind):
     for g, h in [(gen_cycle(3), gen_cycle(4)), (gen_complete(3), gen_cycle(5))]:
-        composite = op(g, h)
+        composite = apply_product(kind, g, h)
         assert len(set(composite.degrees())) == 1
         assert graph_total_irregularity(composite) == 0
 
@@ -104,30 +152,31 @@ class TestJoin:
 
 class TestLexicographic:
     def test_p3_c3_closed_form(self):
-        assert graph_total_irregularity(lexicographic(gen_path(3), gen_cycle(3))) == 54
+        g = apply_product(ProductKind.LEXICOGRAPHIC, gen_path(3), gen_cycle(3))
+        assert graph_total_irregularity(g) == 54
 
     def test_left_identity(self, rng):
         h = random_graph(5, rng)
-        assert lexicographic(K1, h) == h
+        assert apply_product(ProductKind.LEXICOGRAPHIC, K1, h) == h
 
     def test_c4_k2_regular(self):
-        g = lexicographic(gen_cycle(4), gen_complete(2))
+        g = apply_product(ProductKind.LEXICOGRAPHIC, gen_cycle(4), gen_complete(2))
         assert g.degrees() == (5,) * 8
         assert graph_total_irregularity(g) == 0
 
 
 class TestCartesian:
     def test_p3_c3(self):
-        g = cartesian(gen_path(3), gen_cycle(3))
+        g = apply_product(ProductKind.CARTESIAN, gen_path(3), gen_cycle(3))
         assert sorted(g.degrees()) == [3] * 6 + [4] * 3
         assert graph_total_irregularity(g) == 18
 
     def test_identity_element(self, rng):
         h = random_graph(4, rng)
-        assert cartesian(K1, h) == h
+        assert apply_product(ProductKind.CARTESIAN, K1, h) == h
 
     def test_k2_square_is_c4(self):
-        g = cartesian(gen_complete(2), gen_complete(2))
+        g = apply_product(ProductKind.CARTESIAN, gen_complete(2), gen_complete(2))
         # labeling (u, v) -> 2u + v makes the 4-cycle 0-1-3-2-0
         assert g.m == 4 and g.degrees() == (2, 2, 2, 2)
         assert not g.adjacency[0, 3] and not g.adjacency[1, 2]
@@ -135,30 +184,30 @@ class TestCartesian:
 
 class TestStrong:
     def test_p3_c3(self):
-        g = strong(gen_path(3), gen_cycle(3))
+        g = apply_product(ProductKind.STRONG, gen_path(3), gen_cycle(3))
         assert sorted(g.degrees()) == [5] * 6 + [8] * 3
         assert graph_total_irregularity(g) == 54
 
     def test_identity_element(self, rng):
         h = random_graph(4, rng)
-        assert strong(K1, h) == h
+        assert apply_product(ProductKind.STRONG, K1, h) == h
 
     def test_k2_strong_k2_is_k4(self):
-        assert strong(gen_complete(2), gen_complete(2)) == gen_complete(4)
+        assert apply_product(ProductKind.STRONG, gen_complete(2), gen_complete(2)) == gen_complete(4)
 
 
 class TestDirect:
     def test_p3_c3(self):
-        g = direct(gen_path(3), gen_cycle(3))
+        g = apply_product(ProductKind.DIRECT, gen_path(3), gen_cycle(3))
         assert sorted(g.degrees()) == [2] * 6 + [4] * 3
         assert graph_total_irregularity(g) == 36
 
     def test_edgeless_factor(self, rng):
         g = random_graph(3, rng)
-        assert direct(g, gen_empty(4)).m == 0
+        assert apply_product(ProductKind.DIRECT, g, gen_empty(4)).m == 0
 
     def test_k2_direct_k2_two_disjoint_edges(self):
-        g = direct(gen_complete(2), gen_complete(2))
+        g = apply_product(ProductKind.DIRECT, gen_complete(2), gen_complete(2))
         assert g.m == 2 and g.degrees() == (1, 1, 1, 1)
 
 
@@ -180,16 +229,18 @@ class TestCorona:
 class TestDisjunctionSymdiff:
     def test_k1_is_identity_like(self, rng):
         h = random_graph(5, rng)
-        assert disjunction(K1, h) == h
-        assert symmetric_difference(K1, h) == h
+        assert apply_product(ProductKind.DISJUNCTION, K1, h) == h
+        assert apply_product(ProductKind.SYMDIFF, K1, h) == h
 
     def test_k2_disjunction_k2_is_k4(self):
-        assert disjunction(gen_complete(2), gen_complete(2)) == gen_complete(4)
+        assert apply_product(ProductKind.DISJUNCTION, gen_complete(2), gen_complete(2)) == gen_complete(4)
 
     def test_k2_symdiff_k2_is_4_cycle(self):
-        g = symmetric_difference(gen_complete(2), gen_complete(2))
+        g = apply_product(ProductKind.SYMDIFF, gen_complete(2), gen_complete(2))
         assert g.m == 4 and g.degrees() == (2, 2, 2, 2)
 
     def test_regular_closure(self):
-        assert graph_total_irregularity(disjunction(gen_cycle(3), gen_cycle(4))) == 0
-        assert graph_total_irregularity(symmetric_difference(gen_cycle(3), gen_cycle(3))) == 0
+        disjunction = apply_product(ProductKind.DISJUNCTION, gen_cycle(3), gen_cycle(4))
+        symdiff = apply_product(ProductKind.SYMDIFF, gen_cycle(3), gen_cycle(3))
+        assert graph_total_irregularity(disjunction) == 0
+        assert graph_total_irregularity(symdiff) == 0
