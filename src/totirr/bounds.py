@@ -149,9 +149,10 @@ def _hypothesis_ok(
 class BoundScan:
     """One kind's bound checked over operand pairs, in row order.
 
-    `check` evaluates a batch of pairs.  Pairs whose hypotheses hold are
-    counted in `checked` and enter the extrema: the minimum slack, and the
-    maximum actual/bound ratio over positive bounds.  Each extremum keeps
+    `check` evaluates a batch of pairs, and `check_all` every pair of two
+    pools as one batch.  Pairs whose hypotheses hold are counted in
+    `checked` and enter the extrema: the minimum slack, and the maximum
+    actual/bound ratio over positive bounds.  Each extremum keeps
     the position of the first pair attaining it, its two pools and row
     indices, so a scan in pair-index order keeps the lowest index on ties.
     `slack_pair` and `ratio_pair` decode that pair when read.
@@ -222,6 +223,13 @@ class BoundScan:
                 self.max_ratio, self._ratio_at = ratio, (g, a[j], h, b[j])
         return actual, bound, ok
 
+    def check_all(self, g: Operands, h: Operands) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`check` every pair (g[i], h[j]) in one call, as row
+        i * len(h) + j: pair-index order, so ties keep the lowest index.
+        Returns that call's actual values, bounds and hypothesis mask."""
+        a, b = np.divmod(np.arange(len(g) * len(h)), len(h))
+        return self.check(g, a, h, b)
+
 
 def _decode(at: Optional[Tuple[Operands, int, Operands, int]]) -> Optional[Tuple[Graph, Graph]]:
     if at is None:
@@ -240,8 +248,7 @@ def evaluate_bound(kind: ProductKind, g: Graph, h: Graph) -> BoundReport:
     """
     kind = ProductKind(kind)
     pg, ph = Operands.of_graphs([g]), Operands.of_graphs([h])
-    row = np.zeros(1, dtype=np.intp)
-    actual, bound, ok = BoundScan(kind).check(pg, row, ph, row)
+    actual, bound, ok = BoundScan(kind).check_all(pg, ph)
     return BoundReport(
         kind=kind,
         n1=g.n,

@@ -237,6 +237,8 @@ def _cmd_bound(args, out) -> None:
             file=out,
         )
         return
+    if args.n is not None:
+        raise InputError(f"bound {args.kind} does not take --n (theorem1 only)")
     if args.a is None or args.b is None:
         raise InputError(f"bound {args.kind} requires two graph6 operands")
     g = parse_graph6(args.a)

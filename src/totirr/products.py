@@ -109,9 +109,10 @@ def product_degree_rows(kind: ProductKind, dg: np.ndarray, dh: np.ndarray) -> np
     labelling.  Every entry and intermediate value is below
     3 (n1 + 1)(n2 + 1), so int64 is exact.
 
-    A Kronecker kind sums its KRONECKER_TERMS over the factors' row sums,
-    so no adjacency is built; apply_product is the oracle it is tested
-    against.
+    A Kronecker kind sums c * x * y over its KRONECKER_TERMS (c, X, Y),
+    where x and y are the factors' row sums (dg or dh for A and B, 1 for
+    I, n1 or n2 for J), so no adjacency is built; apply_product is the
+    oracle it is tested against.
     """
     kind = ProductKind(kind)
     n1, n2 = dg.shape[1], dh.shape[1]
@@ -120,11 +121,7 @@ def product_degree_rows(kind: ProductKind, dg: np.ndarray, dh: np.ndarray) -> np
     if kind is ProductKind.CORONA:
         return np.concatenate([dg + n2, np.tile(dh + 1, (1, n1))], axis=1)
     # composite vertex (u, v) is u * n2 + v: row-major over (n1, n2)
-    x_rows, y_rows = {"A": dg[:, :, None], "J": n1}, {"B": dh[:, None, :], "J": n2}
-    d = 0
-    for c, x, y in KRONECKER_TERMS[kind]:
-        # I's row sums are 1, and a unit coefficient is a sign: neither
-        # costs a pass over the rows
-        term = y_rows[y] if x == "I" else x_rows[x] if y == "I" else x_rows[x] * y_rows[y]
-        d = d + term if c == 1 else d - term if c == -1 else d + c * term
+    x_rows = {"A": dg[:, :, None], "I": 1, "J": n1}
+    y_rows = {"B": dh[:, None, :], "I": 1, "J": n2}
+    d = sum(c * x_rows[x] * y_rows[y] for c, x, y in KRONECKER_TERMS[kind])
     return d.reshape(len(d), n1 * n2)

@@ -21,8 +21,11 @@ Sweeps and the probe score operand pairs as rows.  Each side is a
 `bounds.Operands` pool of int64 degree rows: the codes (sweep), the
 battery (probe), or each sample's bits from one `rng.randbytes` call per
 batch (probe); `_degree_rows` is the one map from graph6 bits to degrees.
-`BoundScan.check` scores a batch of index pairs at once, about 2^14
-array cells; `_check_all_pairs` checks every pair of two pools.
+`BoundScan.check_all` scores every pair of two pools in one call, as
+the pools are small: a sweep has at most 64 x 64 pairs of 4-vertex
+operands, and the probe's battery 5 x 5 pairs of at most 4096 composite
+degrees.  The probe's samples are the one batched loop, about
+_BATCH_CELLS array cells per `BoundScan.check` call.
 A Graph is built only for a pool operand whose connectivity a hypothesis
 needs, a witness, or a falsification.
 """
@@ -58,7 +61,7 @@ MAX_PROBE_SAMPLES = 10**7
 PROBE_KINDS = (ProductKind.DISJUNCTION, ProductKind.SYMDIFF)
 # codes per theorem1 block; a power of two, so blocks share one table
 _BLOCK = 1 << 16
-# array cells per batch of operand-pair rows (sweep and probe)
+# array cells per batch of the probe's sampled rows
 _BATCH_CELLS = 1 << 14
 
 
@@ -220,20 +223,10 @@ def verify_theorem1(n: int) -> SearchOutcome:
 
 
 def _batch_rows(n1: int, n2: int) -> int:
-    """Operand-pair rows per batch: about _BATCH_CELLS cells, as no array
-    of one row (operand adjacencies, composite degrees) has more than
-    (n1 + n2)^2."""
+    """Sampled pair rows per probe batch: about _BATCH_CELLS cells, as no
+    array of one row (operand adjacencies, composite degrees) has more
+    than (n1 + n2)^2."""
     return max(1, _BATCH_CELLS // (n1 + n2) ** 2)
-
-
-def _check_all_pairs(scan: BoundScan, g: Operands, h: Operands) -> None:
-    """Check every pair (g[i], h[j]) in pair-index order i * len(h) + j,
-    in batches of _batch_rows rows, so ties keep the lowest index."""
-    total = len(g) * len(h)
-    step = _batch_rows(g.n, h.n)
-    for lo in range(0, total, step):
-        a, b = np.divmod(np.arange(lo, min(lo + step, total)), len(h))
-        scan.check(g, a, h, b)
 
 
 def _labeled_operands(n: int) -> Operands:
@@ -254,7 +247,7 @@ def sweep_operation_bounds(kind: ProductKind, n1: int, n2: int) -> SearchOutcome
         raise InputError(f"exhaustive sweeps support n1, n2 in [1, 4], got {n1}, {n2}")
     g, h = _labeled_operands(n1), _labeled_operands(n2)
     scan = BoundScan(kind)
-    _check_all_pairs(scan, g, h)
+    scan.check_all(g, h)
     return SearchOutcome(
         task="sweep",
         n1=n1,
@@ -314,7 +307,7 @@ def probe_open_problem(
     rng = random.Random(seed)
     scan = BoundScan(kind)
     g, h = (Operands.of_graphs(_deterministic_battery(n)) for n in (n1, n2))
-    _check_all_pairs(scan, g, h)
+    scan.check_all(g, h)
     k1 = n1 * (n1 - 1) // 2
     k = k1 + n2 * (n2 - 1) // 2
     step = _batch_rows(n1, n2)

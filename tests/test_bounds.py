@@ -290,6 +290,30 @@ class TestRowScanAgainstScalarOracle:
         assert report.bound == _bound_formula(kind, g.n, g.m, h.n, h.m, tg, th)
 
 
+def test_each_pool_pair_is_scored_in_one_check(monkeypatch):
+    """A sweep, the probe's battery and evaluate_bound each score all
+    their pairs in one BoundScan.check call."""
+    calls = []
+    check = BoundScan.check
+
+    def spy(scan, g, a, h, b):
+        calls.append(len(a))
+        return check(scan, g, a, h, b)
+
+    monkeypatch.setattr(BoundScan, "check", spy)
+    for kind in ProductKind:
+        calls.clear()
+        sweep_operation_bounds(kind, 4, 4)
+        assert calls == [64 * 64], kind
+        calls.clear()
+        evaluate_bound(kind, gen_path(4), gen_star(3))
+        assert calls == [1], kind
+    for kind in (ProductKind.DISJUNCTION, ProductKind.SYMDIFF):
+        calls.clear()
+        probe_open_problem(kind, 4, 4, samples=0, seed=0)
+        assert calls == [5 * 5], kind
+
+
 def test_values_past_int64_stay_exact():
     # with h complete, every symdiff composite degree is c + (2 - n2) d_g(u),
     # so actual = n2^2 (n2 - 2) irr_t(g); it and the bound pass 2^63

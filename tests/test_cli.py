@@ -221,6 +221,7 @@ INPUT_ERRORS = [
         "samples must be >= 0, got -1",
     ),
     (["bound", "theorem1", "--n", "0"], "", "need n >= 1, got 0"),
+    (["bound", "join", "A_", "A_", "--n", "5"], "", "bound join does not take --n (theorem1 only)"),
 ]
 
 

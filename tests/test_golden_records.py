@@ -7,7 +7,9 @@ tiles' edges), `op` for every kind on five operand pairs and at the
 4096-vertex cap (extremal(64) by P_64; corona on extremal(63) by P_64,
 4095 vertices), `compute` with all six indices on every family at
 n = 1, 2, 7, 64 and 300 (each distinct graph once), five multipartite
-graphs and eight seeded conftest.random_graph inputs, and `bound` for
+graphs and eight seeded conftest.random_graph inputs, and at the
+4096-vertex graph6 cap (star and K_n against closed forms, the extremal
+graph and a seeded G(4096, 1/2) as a sha256), and `bound` for
 every kind on five operand pairs (one failing the join and corona
 connectivity hypotheses, one failing their size ordering, one with
 n1 * n2 > 4096) plus `bound theorem1` at five n.  A record with a
@@ -31,15 +33,19 @@ must print the same 12 significant digits.
 """
 
 import hashlib
+import io
 import json
+import math
+import random
 from pathlib import Path
 
 import pytest
 
-from totirr import ProductKind
+from totirr import ProductKind, emit_graph6
 from totirr.cli import FAMILIES, INDEX_FUNCS, PRODUCT_TAGS, cli_main
+from totirr.formats import format_value
 
-from conftest import stdin_of
+from conftest import random_graph, stdin_of
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_records.json").read_text())
 
@@ -80,3 +86,68 @@ def test_every_family_and_op_kind_is_pinned():
     assert {r["argv"][1] for r in GOLDEN["op"]} == {k.value for k in ProductKind}
     assert {r["argv"][1] for r in GOLDEN["bound"]} == set(PRODUCT_TAGS) | {"theorem1"}
     assert {name for r in GOLDEN["compute"] for name in r["argv"][2].split(",")} == set(INDEX_FUNCS)
+
+
+CAP = 4096
+
+
+def _gen(*argv):
+    out = io.StringIO()
+    assert cli_main(["gen", *argv], out=out) == 0
+    return out.getvalue()
+
+
+def _compute(g6_line, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", stdin_of(g6_line))
+    assert cli_main(["compute"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,values",
+    [
+        # irr_t, irr, m1, m2, var and cs of the star and of K_n, n = 4096
+        (
+            "star",
+            [
+                (CAP - 1) * (CAP - 2),
+                (CAP - 1) * (CAP - 2),
+                CAP * (CAP - 1),
+                (CAP - 1) ** 2,
+                (CAP - 1) * (CAP - 2) ** 2 / CAP**2,
+                math.sqrt(CAP - 1) - 2 * (CAP - 1) / CAP,
+            ],
+        ),
+        ("complete", [0, 0, CAP * (CAP - 1) ** 2, math.comb(CAP, 2) * (CAP - 1) ** 2, 0, 0]),
+    ],
+)
+def test_compute_at_the_graph6_cap_meets_closed_forms(family, values, monkeypatch, capsys):
+    g6 = _gen(family, str(CAP))
+    expected = [
+        f"task=compute input={g6.strip()} index={name} value={format_value(value)}"
+        for name, value in zip(INDEX_FUNCS, values)
+    ]
+    assert _compute(g6, monkeypatch, capsys).splitlines() == expected
+
+
+@pytest.mark.parametrize(
+    "source,stdout_bytes,stdout_sha256",
+    [
+        ("extremal", 8386873, "fb1a61e68e17477f432c05efb7fd2697f7d69682c4651ccdc935f4f7d10131ed"),
+        ("random", 8386875, "c69734439a672bd293f5f1b478640783138a855be136d3808db6b6ae7296fd1d"),
+    ],
+)
+def test_compute_at_the_graph6_cap_unchanged(source, stdout_bytes, stdout_sha256, monkeypatch, capsys):
+    """All six indices at n = 4096 on the extremal graph and a seeded
+    conftest.random_graph G(4096, 1/2), pinned as the length and sha256 of
+    their records, so no change to the codec or the index kernels at the
+    cap moves a printed digit unseen."""
+    if source == "extremal":
+        g6 = _gen("extremal", str(CAP))
+    else:
+        g6 = emit_graph6(random_graph(CAP, random.Random(1), 0.5)) + "\n"
+    out = _compute(g6, monkeypatch, capsys)
+    assert len(out) == stdout_bytes
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == stdout_sha256
