@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .products import ProductKind, apply_product, product_degree_rows  # noqa: F
 # then below 2^40 (corona's n1 (n2 + 1) vertices included), so it is also
 # exact as a float64.  Larger pairs evaluate them in Python ints.
 INT64_MAX_PAIR = 4096
+# array cells per batch of pair rows
+_BATCH_CELLS = 1 << 14
 
 
 class Operands:
@@ -145,16 +147,34 @@ def _hypothesis_ok(
     return np.ones(len(a), dtype=bool)
 
 
+def _batch_rows(n1: int, n2: int) -> int:
+    """Pair rows per batch of operands on n1 and n2 vertices: about
+    _BATCH_CELLS cells, as no array of one row (operand adjacencies,
+    composite degrees) has more than (n1 + n2)^2.  The one rule that
+    sizes every batch, `BoundScan.check_all`'s and the probe's samples'."""
+    return max(1, _BATCH_CELLS // (n1 + n2) ** 2)
+
+
+def pair_batches(pairs: int, n1: int, n2: int) -> Iterator[range]:
+    """Rows 0 .. pairs - 1, in order, as consecutive ranges of at most
+    _batch_rows(n1, n2) rows."""
+    step = _batch_rows(n1, n2)
+    for lo in range(0, pairs, step):
+        yield range(lo, min(lo + step, pairs))
+
+
 @dataclass
 class BoundScan:
     """One kind's bound checked over operand pairs, in row order.
 
     `check` evaluates a batch of pairs, and `check_all` every pair of two
-    pools as one batch.  Pairs whose hypotheses hold are counted in
-    `checked` and enter the extrema: the minimum slack, and the maximum
-    actual/bound ratio over positive bounds.  Each extremum keeps
-    the position of the first pair attaining it, its two pools and row
-    indices, so a scan in pair-index order keeps the lowest index on ties.
+    pools in batches of at most `_batch_rows` rows, so a scan's working
+    memory is one batch's, whatever the pools' sizes.  Pairs whose
+    hypotheses hold are counted in `checked` and enter the extrema: the
+    minimum slack, and the maximum actual/bound ratio over positive
+    bounds.  Each extremum keeps the position of the first pair attaining
+    it, its two pools and row indices, so a scan in pair-index order
+    keeps the lowest index on ties, however its rows are batched.
     `slack_pair` and `ratio_pair` decode that pair when read.
     """
 
@@ -223,12 +243,15 @@ class BoundScan:
                 self.max_ratio, self._ratio_at = ratio, (g, a[j], h, b[j])
         return actual, bound, ok
 
-    def check_all(self, g: Operands, h: Operands) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`check` every pair (g[i], h[j]) in one call, as row
-        i * len(h) + j: pair-index order, so ties keep the lowest index.
-        Returns that call's actual values, bounds and hypothesis mask."""
-        a, b = np.divmod(np.arange(len(g) * len(h)), len(h))
-        return self.check(g, a, h, b)
+    def check_all(self, g: Operands, h: Operands) -> None:
+        """`check` every pair (g[i], h[j]) as row i * len(h) + j, in
+        pair-index order, one call per batch of `pair_batches` rows.
+        Each call keeps its first row attaining an extremum and replaces a
+        stored one only when strictly better, so ties keep the lowest
+        index and the records are those of one call over all pairs."""
+        for rows in pair_batches(len(g) * len(h), g.n, h.n):
+            a, b = np.divmod(np.arange(rows.start, rows.stop), len(h))
+            self.check(g, a, h, b)
 
 
 def _decode(at: Optional[Tuple[Operands, int, Operands, int]]) -> Optional[Tuple[Graph, Graph]]:
@@ -248,7 +271,8 @@ def evaluate_bound(kind: ProductKind, g: Graph, h: Graph) -> BoundReport:
     """
     kind = ProductKind(kind)
     pg, ph = Operands.of_graphs([g]), Operands.of_graphs([h])
-    actual, bound, ok = BoundScan(kind).check_all(pg, ph)
+    first = np.zeros(1, dtype=np.intp)
+    actual, bound, ok = BoundScan(kind).check(pg, first, ph, first)
     return BoundReport(
         kind=kind,
         n1=g.n,

@@ -228,6 +228,8 @@ def _bound_record(report: BoundReport, g6_a: str, g6_b: str) -> str:
 
 def _cmd_bound(args, out) -> None:
     if args.kind == "theorem1":
+        if args.a is not None:
+            raise InputError("bound theorem1 does not take operands (products only)")
         if args.n is None:
             raise InputError("bound theorem1 requires --n")
         print(

@@ -21,11 +21,12 @@ Sweeps and the probe score operand pairs as rows.  Each side is a
 `bounds.Operands` pool of int64 degree rows: the codes (sweep), the
 battery (probe), or each sample's bits from one `rng.randbytes` call per
 batch (probe); `_degree_rows` is the one map from graph6 bits to degrees.
-`BoundScan.check_all` scores every pair of two pools in one call, as
-the pools are small: a sweep has at most 64 x 64 pairs of 4-vertex
-operands, and the probe's battery 5 x 5 pairs of at most 4096 composite
-degrees.  The probe's samples are the one batched loop, about
-_BATCH_CELLS array cells per `BoundScan.check` call.
+Pairs are scored in batches of rows, one `BoundScan.check` call each,
+walked by `bounds.pair_batches` and sized by one rule: about
+`bounds._BATCH_CELLS` array cells per call.  `BoundScan.check_all`
+walks every pair of two pools so (a sweep's codes, the probe's
+battery), and the probe draws and scores its samples a batch at a
+time, so no scan's memory grows with its pools or its sample count.
 A Graph is built only for a pool operand whose connectivity a hypothesis
 needs, a witness, or a falsification.
 """
@@ -40,7 +41,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import FalsificationError, InputError, InternalError
-from .bounds import INT64_MAX_PAIR, BoundScan, Operands, bound_theorem1
+from .bounds import INT64_MAX_PAIR, BoundScan, Operands, bound_theorem1, pair_batches
 from .formats import emit_graph6, graph_from_bits, triangle_mask
 from .families import (
     gen_complete,
@@ -61,8 +62,6 @@ MAX_PROBE_SAMPLES = 10**7
 PROBE_KINDS = (ProductKind.DISJUNCTION, ProductKind.SYMDIFF)
 # codes per theorem1 block; a power of two, so blocks share one table
 _BLOCK = 1 << 16
-# array cells per batch of the probe's sampled rows
-_BATCH_CELLS = 1 << 14
 
 
 def num_labeled_graphs(n: int) -> int:
@@ -222,13 +221,6 @@ def verify_theorem1(n: int) -> SearchOutcome:
     )
 
 
-def _batch_rows(n1: int, n2: int) -> int:
-    """Sampled pair rows per probe batch: about _BATCH_CELLS cells, as no
-    array of one row (operand adjacencies, composite degrees) has more
-    than (n1 + n2)^2."""
-    return max(1, _BATCH_CELLS // (n1 + n2) ** 2)
-
-
 def _labeled_operands(n: int) -> Operands:
     """Every labeled graph on n vertices, row i the graph with code i."""
     return Operands(_bit_degrees(_pair_incidence(n)), lambda code: graph_from_code(n, code))
@@ -310,9 +302,8 @@ def probe_open_problem(
     scan.check_all(g, h)
     k1 = n1 * (n1 - 1) // 2
     k = k1 + n2 * (n2 - 1) // 2
-    step = _batch_rows(n1, n2)
-    for lo in range(0, samples, step):
-        rows = min(step, samples - lo)
+    for batch in pair_batches(samples, n1, n2):
+        rows = len(batch)
         draw = np.frombuffer(rng.randbytes(-(-rows * k // 8)), dtype=np.uint8)
         bits = np.unpackbits(draw, count=rows * k).reshape(rows, k)
         every = np.arange(rows)

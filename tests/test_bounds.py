@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,9 +26,9 @@ from totirr import (
     sweep_operation_bounds,
     total_irregularity,
 )
-from totirr.bounds import INT64_MAX_PAIR, BoundScan, Operands, _bound_formula
+from totirr.bounds import INT64_MAX_PAIR, BoundScan, Operands, _batch_rows, _bound_formula
 from totirr.formats import graph_from_bits
-from totirr.search import _batch_rows, _deterministic_battery, _labeled_operands
+from totirr.search import _deterministic_battery, _labeled_operands
 
 from conftest import labeled_graphs, random_graph
 
@@ -290,28 +291,59 @@ class TestRowScanAgainstScalarOracle:
         assert report.bound == _bound_formula(kind, g.n, g.m, h.n, h.m, tg, th)
 
 
-def test_each_pool_pair_is_scored_in_one_check(monkeypatch):
-    """A sweep, the probe's battery and evaluate_bound each score all
-    their pairs in one BoundScan.check call."""
+def test_pool_pairs_are_scored_in_batches(monkeypatch):
+    """A sweep walks its pair grid in pair-index order, at most
+    _batch_rows rows per BoundScan.check call; the probe's battery fits
+    in one call and evaluate_bound scores its one pair in one."""
     calls = []
     check = BoundScan.check
 
     def spy(scan, g, a, h, b):
-        calls.append(len(a))
+        calls.append((a, b))
         return check(scan, g, a, h, b)
 
     monkeypatch.setattr(BoundScan, "check", spy)
+    rows = _batch_rows(4, 4)
+    assert rows == 256
     for kind in ProductKind:
         calls.clear()
         sweep_operation_bounds(kind, 4, 4)
-        assert calls == [64 * 64], kind
+        assert all(len(a) <= rows for a, _ in calls), kind
+        a, b = (np.concatenate(side) for side in zip(*calls))
+        expected = np.divmod(np.arange(64 * 64), 64)
+        assert np.array_equal(a, expected[0]) and np.array_equal(b, expected[1]), kind
         calls.clear()
         evaluate_bound(kind, gen_path(4), gen_star(3))
-        assert calls == [1], kind
+        assert [len(a) for a, _ in calls] == [1], kind
     for kind in (ProductKind.DISJUNCTION, ProductKind.SYMDIFF):
         calls.clear()
         probe_open_problem(kind, 4, 4, samples=0, seed=0)
-        assert calls == [5 * 5], kind
+        assert [len(a) for a, _ in calls] == [5 * 5], kind
+
+
+def traced_peak(run):
+    """Peak bytes that tracemalloc (numpy's buffers included) sees while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", list(ProductKind))
+def test_sweep_memory_is_one_batch(kind):
+    # one check over all 4096 pairs of a 4x4 sweep peaks near 1 MB or more
+    assert traced_peak(lambda: sweep_operation_bounds(kind, 4, 4)) < 0.5e6
+
+
+@pytest.mark.parametrize("kind", list(ProductKind))
+def test_scan_memory_does_not_grow_with_the_pools(kind):
+    # 256 x 256 pairs of 8-vertex operands: one int64 array of composite
+    # degrees over all pairs would take 33.5 MB
+    rng = random.Random(8)
+    g, h = (Operands.of_graphs([random_graph(8, rng) for _ in range(256)]) for _ in "gh")
+    assert traced_peak(lambda: BoundScan(kind).check_all(g, h)) < 2e6
 
 
 def test_values_past_int64_stay_exact():

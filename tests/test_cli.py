@@ -222,6 +222,11 @@ INPUT_ERRORS = [
     ),
     (["bound", "theorem1", "--n", "0"], "", "need n >= 1, got 0"),
     (["bound", "join", "A_", "A_", "--n", "5"], "", "bound join does not take --n (theorem1 only)"),
+    (
+        ["bound", "theorem1", "A_", "A_", "--n", "3"],
+        "",
+        "bound theorem1 does not take operands (products only)",
+    ),
 ]
 
 

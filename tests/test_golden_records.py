@@ -41,7 +41,7 @@ from pathlib import Path
 
 import pytest
 
-from totirr import ProductKind, emit_graph6
+from totirr import ProductKind, bounds, emit_graph6
 from totirr.cli import FAMILIES, INDEX_FUNCS, PRODUCT_TAGS, cli_main
 from totirr.formats import format_value
 
@@ -74,6 +74,16 @@ def test_record_unchanged(record, capsys, monkeypatch):
     else:
         assert len(out) == record["stdout_bytes"]
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == record["stdout_sha256"]
+
+
+@pytest.mark.parametrize("cells", [1, 448], ids=["1-row-batches", "7-row-batches-at-4x4"])
+def test_sweep_records_do_not_depend_on_the_batch(cells, capsys, monkeypatch):
+    """Every sweep record, with BoundScan.check_all's batches one pair
+    long and, at 4x4, seven pairs long, a size that divides no pool grid."""
+    monkeypatch.setattr(bounds, "_BATCH_CELLS", cells)
+    for record in GOLDEN["sweep"]:
+        assert cli_main(record["argv"]) == 0
+        assert capsys.readouterr() == (record["stdout"], ""), record["argv"]
 
 
 def test_every_sweep_size_and_op_is_pinned():

@@ -24,13 +24,12 @@ from totirr import (
     sweep_operation_bounds,
     verify_theorem1,
 )
-from totirr import search
+from totirr import bounds, search
 from totirr.cli import cli_main
 from totirr.indices import total_irregularity_rows
 from totirr.search import (
     MAX_PROBE_SAMPLES,
     THEOREM1_MAX_N,
-    _BATCH_CELLS,
     _block_irregularity,
     _pair_incidence,
     _sorting_network,
@@ -301,7 +300,7 @@ class TestProbe:
         # smaller batches cost one draw and one check per few rows, so
         # they run fewer samples; each batch size draws different bits
         "cells,samples,seeds",
-        [(_BATCH_CELLS, 3000, (1, 2, 1729, -5)), (1, 300, (1729,)), (64, 300, (1729,))],
+        [(bounds._BATCH_CELLS, 3000, (1, 2, 1729, -5)), (1, 300, (1729,)), (64, 300, (1729,))],
         ids=["default-batch", "1-cell-batch", "64-cell-batch"],
     )
     def test_samples_never_change_a_record(self, kind, cells, samples, seeds, monkeypatch):
@@ -309,7 +308,7 @@ class TestProbe:
         # it comes first, so the sampled bits change only `cases`
         sizes = [(n1, n2) for n1 in range(1, 6) for n2 in range(1, 6)]
         battery = {(n1, n2): probe_open_problem(kind, n1, n2, samples=0, seed=0) for n1, n2 in sizes}
-        monkeypatch.setattr(search, "_BATCH_CELLS", cells)
+        monkeypatch.setattr(bounds, "_BATCH_CELLS", cells)
         for (n1, n2), expected in battery.items():
             for seed in seeds:
                 outcome = probe_open_problem(kind, n1, n2, samples=samples, seed=seed)
