@@ -6,13 +6,15 @@ upper-triangle adjacency entries in graph6 order; `formats.triangle_mask`
 owns that order and codes decode through `formats.graph_from_bits`.
 The brute-force maximum scan (2 <= n <= 8) and the bound sweeps run
 over contiguous code ranges, in the calling process.  A graph's degrees
-are linear in its code bits, so the theorem1 scan takes each block of
-_BLOCK codes as the degree row of its high bits plus one table of the
-low bits, shared by all blocks, and keeps the lowest code of the
-maximum.  A graph and its complement have the same irr_t (degrees
-d -> n-1-d), so the scan scores only the codes whose most significant
-bit is 0: every other code's complement is lower.  The table is int8,
-one row per vertex and one column per code: a Batcher odd-even merge
+are linear in its code bits, so the theorem1 scan builds each pass of
+_BLOCK codes as the sum of three degree tables: one row for the pass's
+top bits, 4 columns for its next two (mid) bits and a quarter-pass
+table for the low bits, the last two shared by every pass.  It
+keeps the lowest code of the maximum.  A graph and its complement have
+the same irr_t (degrees d -> n-1-d), so the scan scores only the codes
+whose most significant bit is 0: every other code's complement is
+lower.  The pass is the one table of _BLOCK columns, int8, one row per
+vertex and one column per code: a Batcher odd-even merge
 network (`_sorting_network`) sorts every code's degrees at once, one
 `np.minimum`/`np.maximum` pair per comparator, and irr_t is the
 weighted sum of the sorted rows.
@@ -60,7 +62,7 @@ from .products import ProductKind, apply_product  # noqa: F401
 THEOREM1_MAX_N = 8
 MAX_PROBE_SAMPLES = 10**7
 PROBE_KINDS = (ProductKind.DISJUNCTION, ProductKind.SYMDIFF)
-# codes per theorem1 block; a power of two, so blocks share one table
+# codes per theorem1 pass; a power of two, so passes share their mid- and low-bit tables
 _BLOCK = 1 << 16
 
 
@@ -174,10 +176,12 @@ def verify_theorem1(n: int) -> SearchOutcome:
     Only the codes below 2^(k-1), k = n(n-1)/2, are scored: each code
     above has a lower complement with the same irr_t, so the maximum and
     its lowest code are those of all 2^k graphs, and `cases` counts them
-    all, half scored and half covered by their complements.  Each block
-    of codes is one int8 table, a row per vertex and a column per code,
-    scored by `_block_irregularity`; the witness is the lowest code of
-    the maximum.  A mismatch would falsify the bound and raises
+    all, half scored and half covered by their complements.  Each pass
+    of _BLOCK codes is one int8 table, a row per vertex and a column per
+    code, filled by one broadcast add of its top bits' degree row, the
+    mid-bit table and the low-bit table, and scored by
+    `_block_irregularity`; the witness is the lowest code of the
+    maximum.  A mismatch would falsify the bound and raises
     FalsificationError; a witness that does not reproduce the maximum
     raises InternalError.
     """
@@ -187,22 +191,28 @@ def verify_theorem1(n: int) -> SearchOutcome:
     # the most significant pair is dropped: only its 0 half is scored.
     # Degrees are below n <= 8, so int8 degrees and irr_t sums are exact
     incidence = _pair_incidence(n)[1:].astype(np.int8)
-    # code i * width + j has the high bits of i and the low bits of j,
-    # so its degrees are the sum of their rows: one table serves every i
+    # a pass's codes share their top bits; within a pass, code m * L + j,
+    # L the low table's width, has the mid bits of m and the low bits of
+    # j, so its degrees are the sum of three rows, and C order over
+    # (vertex, mid, low) is code order.  Two mid bits keep the low table at
+    # a quarter of the pass, long enough for the inner broadcast (2^8
+    # columns made n = 8 about 20% slower)
     split = max(0, len(incidence) - (_BLOCK.bit_length() - 1))
-    # a copy, not a .T view: each comparator then streams two contiguous rows
-    low = np.ascontiguousarray(_bit_degrees(incidence[split:]).T)
-    width = low.shape[1]
+    mid_split = min(split + 2, len(incidence))
+    mid = _bit_degrees(incidence[split:mid_split]).T
+    # a copy, not a .T view: the inner broadcast then reads contiguous rows
+    low = np.ascontiguousarray(_bit_degrees(incidence[mid_split:]).T)
+    block = np.empty((n, mid.shape[1], low.shape[1]), dtype=np.int8)
+    columns = block.reshape(n, -1)
     network = _sorting_network(n)
-    block = np.empty_like(low)
     best_val, best_code = -1, 0
-    for i, high in enumerate(_bit_degrees(incidence[:split])):
-        np.add(low, high[:, None], out=block)
-        vals = _block_irregularity(block, network)
+    for i, top in enumerate(_bit_degrees(incidence[:split])):
+        np.add((mid + top[:, None])[:, :, None], low[:, None, :], out=block)
+        vals = _block_irregularity(columns, network)
         idx = int(np.argmax(vals))
-        # strictly greater: on ties the earlier block's lower code stays
+        # strictly greater: on ties the earlier pass's lower code stays
         if vals[idx] > best_val:
-            best_val, best_code = int(vals[idx]), i * width + idx
+            best_val, best_code = int(vals[idx]), i * columns.shape[1] + idx
     expected = bound_theorem1(n)
     if best_val != expected:
         raise FalsificationError(

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -18,6 +19,16 @@ def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
 def stdin_of(text):
     """A stand-in for sys.stdin whose buffer holds the ASCII bytes of text."""
     return io.TextIOWrapper(io.BytesIO(text.encode("ascii")), encoding="ascii")
+
+
+def traced_peak(run):
+    """Peak bytes that tracemalloc (numpy's buffers included) sees while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def labeled_graphs(n: int) -> list:

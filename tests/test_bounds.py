@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +29,7 @@ from totirr.bounds import INT64_MAX_PAIR, BoundScan, Operands, _batch_rows, _bou
 from totirr.formats import graph_from_bits
 from totirr.search import _deterministic_battery, _labeled_operands
 
-from conftest import labeled_graphs, random_graph
+from conftest import labeled_graphs, random_graph, traced_peak
 
 K1 = gen_empty(1)
 
@@ -319,16 +318,6 @@ def test_pool_pairs_are_scored_in_batches(monkeypatch):
         calls.clear()
         probe_open_problem(kind, 4, 4, samples=0, seed=0)
         assert [len(a) for a, _ in calls] == [5 * 5], kind
-
-
-def traced_peak(run):
-    """Peak bytes that tracemalloc (numpy's buffers included) sees while `run()` runs."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("kind", list(ProductKind))

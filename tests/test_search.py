@@ -35,7 +35,7 @@ from totirr.search import (
     _sorting_network,
 )
 
-from conftest import labeled_graphs
+from conftest import labeled_graphs, traced_peak
 
 
 class TestEnumeration:
@@ -182,28 +182,39 @@ class TestVerifyTheorem1:
 
     def test_scores_only_the_lower_half(self, monkeypatch):
         # 2^21 graphs at n = 7; the 2^20 with the top bit set are covered
-        # by their complements
+        # by their complements, and the rest are 16 passes of _BLOCK codes
         scored = []
         score = search._block_irregularity
 
         def spy(columns, network):
-            scored.append(columns.shape[1])
+            scored.append(columns.shape)
             return score(columns, network)
 
         monkeypatch.setattr(search, "_block_irregularity", spy)
         assert verify_theorem1(7).cases_examined == 1 << 21
-        assert sum(scored) == 1 << 20
+        assert scored == [(7, search._BLOCK)] * 16
+        assert sum(width for _, width in scored) == 1 << 20
 
-    @pytest.mark.parametrize("block", [1, 4, 64])
+    @pytest.mark.parametrize("block", [1, 2, 4, 64, 1024])
     def test_block_size_invariant(self, block, monkeypatch):
-        # every block shares the low-bit degree table, and ties across
-        # blocks keep the lowest code of the maximum
-        default = [verify_theorem1(n) for n in range(3, 7)]
+        # passes split their codes into mid and low bits, and ties across
+        # passes keep the lowest code of the maximum; 2 has one mid bit
+        # and no low bits, 1024 a low table narrower than the pass
+        sizes = range(3, 8 if block == 1024 else 7)
+        default = [verify_theorem1(n) for n in sizes]
         monkeypatch.setattr(search, "_BLOCK", block)
-        assert [verify_theorem1(n) for n in range(3, 7)] == default
+        assert [verify_theorem1(n) for n in sizes] == default
+
+    def test_scan_memory_is_one_pass(self):
+        # the (7, 2^16) int8 pass and the scorer's two rows; a low-bit
+        # table as wide as the pass peaked at 1.12 MB
+        assert traced_peak(lambda: verify_theorem1(7)) < 0.9e6
 
     def test_n8_needs_no_opt_in(self):
-        outcome = verify_theorem1(8)
+        outcomes = []
+        # 0.87 MB; a low-bit table as wide as the pass peaked at 1.27 MB
+        assert traced_peak(lambda: outcomes.append(verify_theorem1(8))) < 1.0e6
+        (outcome,) = outcomes
         assert (outcome.cases_examined, outcome.max_value) == (1 << 28, 68)
         assert outcome.witness == ("G??Xz{",)
 
