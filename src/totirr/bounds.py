@@ -6,14 +6,15 @@ composite's degree sequence follows from the operands' degrees
 (products.product_degree_rows), so a BoundReport compares the formula
 against the composite's exact total irregularity without building its
 adjacency.  BoundScan runs that check over operand pairs held as rows:
-two Operands pools (degree matrices) and one index array into each.  A
+two Operands pools (degree matrices) and one index array into each.
+Every hypothesis is read from the pools' vertex and edge counts, so a
+pool operand becomes a Graph only for a witness or a falsification.  A
 negative slack on a hypothesis-satisfying pair would falsify a published
 theorem and raises FalsificationError.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Tuple
@@ -22,11 +23,12 @@ import numpy as np
 
 from .errors import FalsificationError, InputError
 from .formats import emit_graph6
-from .graph import Graph, is_connected
 from .indices import total_irregularity_rows
 
-# apply_product is not called here; perfbench/tracing.py wraps the name
-# totirr.bounds.apply_product, so it stays importable from this module
+# apply_product and is_connected are not called here; perfbench/tracing.py
+# wraps the names totirr.bounds.apply_product and totirr.bounds.is_connected,
+# so they stay importable from this module
+from .graph import Graph, is_connected  # noqa: F401
 from .products import ProductKind, apply_product, product_degree_rows  # noqa: F401
 
 # The bound formulas are exact in int64 for operands with n1 * n2 <= 4096,
@@ -40,8 +42,7 @@ _BATCH_CELLS = 1 << 14
 
 class Operands:
     """A pool of operands on n vertices held as rows: the (size, n) degree
-    matrix, each operand's edge count and total irregularity, and its
-    connectivity, computed once per operand when a hypothesis needs it.
+    matrix and each operand's edge count and total irregularity.
     `graph(i)` decodes operand i; only witnesses and falsifications do.
     """
 
@@ -63,10 +64,6 @@ class Operands:
 
     def graph(self, i) -> Graph:
         return self._graph(int(i))
-
-    @functools.cached_property
-    def connected(self) -> np.ndarray:
-        return np.array([is_connected(self.graph(i)) for i in range(len(self))], dtype=bool)
 
 
 def bound_theorem1(n: int) -> int:
@@ -128,22 +125,40 @@ def _bound_formula(kind: ProductKind, n1, m1, n2, m2, tg, th) -> int:
 def _hypothesis_ok(
     kind: ProductKind, g: Operands, a: np.ndarray, h: Operands, b: np.ndarray
 ) -> np.ndarray:
-    """Row mask: whether the theorem's (partly implicit) hypotheses hold
-    for each pair (g[a[i]], h[b[i]]).
+    """Row mask: whether the theorem's hypotheses hold for each pair
+    (g[a[i]], h[b[i]]), read from n and the m rows alone.
 
-    Join and corona carry the size ordering n1 >= n2.  Their proofs also
-    take 'minimal degree sum' to mean a tree, which presumes the relevant
-    operand is connected: join needs both operands connected, corona needs
-    h connected.  Without connectivity the formulas are genuinely violated
-    (e.g. the join of two edgeless graphs), so these are theorem
-    hypotheses, not artifacts of this implementation.
+    The paper states join and corona for connected operands with
+    n1 >= n2, but their proofs use only a minimal degree sum,
+    sum d >= 2(n - 1), that is m >= n - 1.  So join needs n1 >= n2,
+    m1 >= n1 - 1 and m2 >= n2 - 1 (the formula is not symmetric, and a
+    pair with n1 < n2 is not swapped), and corona needs m2 >= n2 - 1 at
+    any sizes.  Each condition is needed: some pair failing only it
+    exceeds the formula.
+
+    Corona, exactly: irr_t(G o H) = tg + n1^2 th
+    + n1 (2 n2 m1 + n1 n2 (n2 - 1) - 2 n1 m2), as every vertex of G
+    outranks every vertex of a copy of H.  So the slack is
+    n1 (2 n2 mbar1 + 2 n1 (m2 - n2 + 1)), mbar1 = C(n1, 2) - m1:
+    nonnegative when m2 >= n2 - 1, zero iff G is complete and
+    m2 = n2 - 1, and negative for complete G when m2 < n2 - 1.
+
+    Join: with complement degrees xbar = n1 - 1 - d_g and
+    ybar = n2 - 1 - d_h, the cross term beyond tg + th is
+    sum_u sum_v |xbar_u - ybar_v|.  It is convex, so its maximum over the
+    box 0 <= xbar <= n1 - 1, 0 <= ybar <= n2 - 1 with
+    sum xbar <= (n1 - 1)(n1 - 2) and sum ybar <= (n2 - 1)(n2 - 2) (that
+    is, m >= n - 1) lies at a vertex: k entries of xbar at n1 - 1 and
+    l of ybar at n2 - 1, the rest 0, k <= n1 - 2, l <= n2 - 2.  There it
+    is bilinear in (k, l), and with n1 >= n2 its corners give at most
+    n2 (n1 - 1)(n1 - 2), the paper's term, except that (n1 - 2, n2 - 2)
+    exceeds it by (n2 - 2)(n2 - 1)(4 - n1) when n1 < 4.  The one such
+    case, n1 = n2 = 3, is checked by enumeration.
     """
-    if kind in (ProductKind.JOIN, ProductKind.CORONA) and g.n < h.n:
-        return np.zeros(len(a), dtype=bool)
     if kind is ProductKind.JOIN:
-        return g.connected[a] & h.connected[b]
+        return (g.n >= h.n) & (g.m[a] >= g.n - 1) & (h.m[b] >= h.n - 1)
     if kind is ProductKind.CORONA:
-        return h.connected[b]
+        return h.m[b] >= h.n - 1
     return np.ones(len(a), dtype=bool)
 
 

@@ -15,7 +15,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .bounds import BoundReport, bound_theorem1, evaluate_bound
-from .errors import InputError, InternalError
+from .errors import Graph6ParseError, InputError, InternalError
 from .families import (
     gen_complete,
     gen_complete_multipartite,
@@ -157,9 +157,14 @@ def _load_graphs(text: str, fmt: str) -> List[Graph]:
         return [parse_edge_list(text)]
     graphs = []
     for line in text.splitlines():
-        line = line.strip()
-        if line:
-            graphs.append(parse_graph6(line))
+        g6 = line.strip()
+        if g6:
+            try:
+                graphs.append(parse_graph6(g6))
+            except Graph6ParseError as exc:
+                # an offset counts bytes from the start of the line as given
+                lead = len(line) - len(line.lstrip())
+                raise Graph6ParseError(exc.message, lead + exc.offset) from None
     if not graphs:
         raise InputError("no graphs in input")
     return graphs

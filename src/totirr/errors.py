@@ -15,6 +15,7 @@ class Graph6ParseError(InputError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 

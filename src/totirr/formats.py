@@ -73,31 +73,32 @@ def _check_byte(b: int, offset: int) -> int:
 
 
 def parse_graph6(s: str) -> Graph:
-    """Decode one graph6 string into a Graph."""
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<") :]
+    """Decode one graph6 string, with or without a `>>graph6<<` prefix,
+    into a Graph.  An error's offset counts bytes from the start of `s`,
+    the prefix included."""
     try:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
         raise Graph6ParseError(f"non-ASCII character {s[exc.start]!r}", exc.start) from None
-    if not data:
-        raise Graph6ParseError("empty graph6 string", 0)
-    if data[0] == 126:  # '~': extended header
-        if len(data) >= 2 and data[1] == 126:
-            raise Graph6ParseError("8-byte huge-graph header is unsupported", 1)
-        if len(data) < 4:
+    start = len(b">>graph6<<") if data.startswith(b">>graph6<<") else 0
+    if len(data) == start:
+        raise Graph6ParseError("empty graph6 string", start)
+    if data[start] == 126:  # '~': extended header
+        if len(data) >= start + 2 and data[start + 1] == 126:
+            raise Graph6ParseError("8-byte huge-graph header is unsupported", start + 1)
+        if len(data) < start + 4:
             raise Graph6ParseError("truncated extended header", len(data))
         n = 0
-        for k in range(1, 4):
+        for k in range(start + 1, start + 4):
             n = (n << 6) | _check_byte(data[k], k)
-        pos = 4
+        pos = start + 4
     else:
-        n = _check_byte(data[0], 0)
-        pos = 1
+        n = _check_byte(data[start], start)
+        pos = start + 1
     if n < 1:
-        raise Graph6ParseError(f"vertex count {n} out of range (n >= 1 required)", 0)
+        raise Graph6ParseError(f"vertex count {n} out of range (n >= 1 required)", start)
     if n > MAX_GRAPH6_N:
-        raise Graph6ParseError(f"vertex count {n} exceeds supported maximum {MAX_GRAPH6_N}", 0)
+        raise Graph6ParseError(f"vertex count {n} exceeds supported maximum {MAX_GRAPH6_N}", start)
 
     k = n * (n - 1) // 2
     nbytes = (k + 5) // 6

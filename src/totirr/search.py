@@ -29,8 +29,8 @@ walked by `bounds.pair_batches` and sized by one rule: about
 walks every pair of two pools so (a sweep's codes, the probe's
 battery), and the probe draws and scores its samples a batch at a
 time, so no scan's memory grows with its pools or its sample count.
-A Graph is built only for a pool operand whose connectivity a hypothesis
-needs, a witness, or a falsification.
+Every hypothesis is read from the pools' edge counts, so a Graph is
+built only for a witness or a falsification.
 """
 
 from __future__ import annotations

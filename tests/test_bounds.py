@@ -1,4 +1,7 @@
+import functools
+import itertools
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -20,16 +23,24 @@ from totirr import (
     gen_random_tree,
     gen_star,
     graph_total_irregularity,
-    is_connected,
     probe_open_problem,
     sweep_operation_bounds,
     total_irregularity,
 )
-from totirr.bounds import INT64_MAX_PAIR, BoundScan, Operands, _batch_rows, _bound_formula
+from totirr.bounds import (
+    INT64_MAX_PAIR,
+    BoundScan,
+    Operands,
+    _batch_rows,
+    _bound_formula,
+    _hypothesis_ok,
+)
 from totirr.formats import graph_from_bits
+from totirr.indices import total_irregularity_rows
+from totirr.products import product_degree_rows
 from totirr.search import _deterministic_battery, _labeled_operands
 
-from conftest import labeled_graphs, random_graph, traced_peak
+from conftest import disjoint_union, labeled_graphs, random_graph, traced_peak
 
 K1 = gen_empty(1)
 
@@ -62,11 +73,16 @@ class TestJoinBound:
         assert not evaluate_bound(ProductKind.JOIN, gen_complete(2), gen_complete(3)).hypothesis_ok
 
     def test_hypothesis_flags_disconnected(self):
-        # the tightness argument needs connected operands; without them the
-        # formula is genuinely exceeded (e.g. two edgeless operands)
+        # the proof needs m >= n - 1 edges in each operand; two edgeless
+        # operands have fewer, and genuinely exceed the formula
         report = evaluate_bound(ProductKind.JOIN, gen_empty(3), gen_empty(2))
         assert not report.hypothesis_ok
         assert report.slack < 0
+
+    def test_disconnected_operand_with_enough_edges(self):
+        # K3 + K1 is disconnected but has m = n - 1 edges, all the proof uses
+        report = evaluate_bound(ProductKind.JOIN, disjoint_union(gen_complete(3), K1), gen_complete(2))
+        assert report.hypothesis_ok and report.slack >= 0
 
 
 class TestLexicographicBound:
@@ -142,8 +158,77 @@ class TestCoronaBound:
         assert report.slack >= 0
 
     def test_hypothesis_flags_disconnected_h(self):
+        # h has m2 = 0 < n2 - 1 edges
         report = evaluate_bound(ProductKind.CORONA, gen_complete(2), gen_empty(2))
         assert not report.hypothesis_ok
+
+    def test_disconnected_h_with_enough_edges(self):
+        # K3 + K1 is disconnected but has m2 = n2 - 1 edges, all the proof uses
+        report = evaluate_bound(ProductKind.CORONA, gen_complete(4), disjoint_union(gen_complete(3), K1))
+        assert report.hypothesis_ok and report.slack >= 0
+
+
+def degree_classes(n):
+    """The distinct sorted degree sequences of the labeled graphs on n
+    vertices, one row each.  A composite's degrees, and so every bound,
+    slack and hypothesis, depend only on its operands' sequences."""
+    return np.unique(np.sort(_labeled_operands(n).degrees, axis=1), axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def class_pairs(kind):
+    """Every pair of degree-sequence classes with n1, n2 <= 6, scored
+    as a scan scores rows: n1, n2, m1, m2, slack and the hypothesis mask,
+    each an array with one entry per pair."""
+    # no pair is decoded, so the pools need no graph
+    pools = [Operands(degree_classes(n), graph=None) for n in range(1, 7)]
+    cells = []
+    for g, h in itertools.product(pools, repeat=2):
+        a, b = np.divmod(np.arange(len(g) * len(h)), len(h))
+        actual = total_irregularity_rows(product_degree_rows(kind, g.degrees[a], h.degrees[b]))
+        bound = _bound_formula(kind, g.n, g.m[a], h.n, h.m[b], g.irr_t[a], h.irr_t[b])
+        n1, n2 = np.full(len(a), g.n), np.full(len(a), h.n)
+        cells.append((n1, n2, g.m[a], h.m[b], bound - actual, _hypothesis_ok(kind, g, a, h, b)))
+    columns = [np.concatenate(column) for column in zip(*cells)]
+    return types.SimpleNamespace(**dict(zip(["n1", "n2", "m1", "m2", "slack", "ok"], columns)))
+
+
+class TestEdgeCountHypotheses:
+    """Join needs n1 >= n2, m1 >= n1 - 1 and m2 >= n2 - 1; corona needs
+    m2 >= n2 - 1.  Checked both ways on every pair of degree-sequence
+    classes with n1, n2 <= 6: no violation under the rule, and each
+    condition needed, as the pairs failing only it include violations."""
+
+    @pytest.mark.parametrize("kind", [ProductKind.JOIN, ProductKind.CORONA])
+    def test_no_violation_under_the_rule(self, kind):
+        p = class_pairs(kind)
+        assert p.ok.any() and not (p.ok & (p.slack < 0)).any()
+
+    @pytest.mark.parametrize(
+        "kind,excluded,violations",
+        [
+            (ProductKind.JOIN, lambda p: (p.n1 < p.n2) & (p.m1 >= p.n1 - 1) & (p.m2 >= p.n2 - 1), 806),
+            (ProductKind.JOIN, lambda p: (p.n1 >= p.n2) & (p.m1 < p.n1 - 1) & (p.m2 >= p.n2 - 1), 278),
+            (ProductKind.JOIN, lambda p: (p.n1 >= p.n2) & (p.m1 >= p.n1 - 1) & (p.m2 < p.n2 - 1), 90),
+            (ProductKind.CORONA, lambda p: p.m2 < p.n2 - 1, 407),
+        ],
+        ids=["join-n1<n2", "join-m1<n1-1", "join-m2<n2-1", "corona-m2<n2-1"],
+    )
+    def test_each_excluded_set_has_violations(self, kind, excluded, violations):
+        p = class_pairs(kind)
+        rows = excluded(p)
+        assert not p.ok[rows].any()
+        assert np.count_nonzero(p.slack[rows] < 0) == violations
+
+    def test_corona_slack_identity_and_equality_case(self):
+        # slack = n1 (2 n2 mbar1 + 2 n1 (m2 - n2 + 1)), mbar1 = C(n1, 2) - m1:
+        # under the rule, zero iff g is complete and m2 = n2 - 1
+        p = class_pairs(ProductKind.CORONA)
+        mbar1 = p.n1 * (p.n1 - 1) // 2 - p.m1
+        assert np.array_equal(p.slack, p.n1 * (2 * p.n2 * mbar1 + 2 * p.n1 * (p.m2 - p.n2 + 1)))
+        tight = p.ok & (p.slack == 0)
+        assert tight.any()
+        assert np.array_equal(tight, p.ok & (mbar1 == 0) & (p.m2 == p.n2 - 1))
 
 
 class TestDisjunctionBound:
@@ -232,9 +317,9 @@ def scalar_scan(kind, pairs):
         tg, th = graph_total_irregularity(g), graph_total_irregularity(h)
         bound = _bound_formula(kind, g.n, g.m, h.n, h.m, tg, th)
         if kind is ProductKind.JOIN:
-            ok = g.n >= h.n and is_connected(g) and is_connected(h)
+            ok = g.n >= h.n and g.m >= g.n - 1 and h.m >= h.n - 1
         elif kind is ProductKind.CORONA:
-            ok = g.n >= h.n and is_connected(h)
+            ok = h.m >= h.n - 1
         else:
             ok = True
         if not ok:

@@ -194,6 +194,13 @@ def test_non_ascii_stdin_exits_1_with_byte_offset():
     assert proc.stderr == b"error: non-ASCII character '\\udcff' (byte offset 1)\n"
 
 
+def test_graph6_error_offset_counts_leading_whitespace(monkeypatch, capsys):
+    # the line is read as given: its bad byte '!' is byte 3, after two spaces
+    monkeypatch.setattr("sys.stdin", stdin_of("  C!\n"))
+    assert run_cli("compute") == (1, "")
+    assert capsys.readouterr().err == "error: byte 33 outside printable graph6 range [63, 126] (byte offset 3)\n"
+
+
 def test_gen_invalid_params():
     code, _ = run_cli("gen", "cycle", "2")
     assert code == 1

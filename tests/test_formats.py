@@ -74,7 +74,7 @@ class TestGraph6Parse:
         [
             ("Cé", 1),
             ("éw", 0),
-            (">>graph6<<Cé", 1),
+            (">>graph6<<Cé", 11),
             (EMPTY_65[:2] + "é" + EMPTY_65[3:], 2),
             (EMPTY_65[:100] + "\udcff" + EMPTY_65[101:], 100),
         ],
@@ -82,6 +82,16 @@ class TestGraph6Parse:
     )
     def test_non_ascii_character(self, s, offset):
         with pytest.raises(Graph6ParseError, match="non-ASCII") as exc:
+            parse_graph6(s)
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "s,offset",
+        [(">>graph6<<C!", 11), (">>graph6<<", 10), (">>graph6<<~?", 12), (">>graph6<<Bww", 12)],
+        ids=["payload", "empty", "extended-header", "trailing"],
+    )
+    def test_prefixed_offsets_count_the_prefix(self, s, offset):
+        with pytest.raises(Graph6ParseError, match=rf"\(byte offset {offset}\)$") as exc:
             parse_graph6(s)
         assert exc.value.offset == offset
 

@@ -10,11 +10,14 @@ n = 1, 2, 7, 64 and 300 (each distinct graph once), five multipartite
 graphs and eight seeded conftest.random_graph inputs, and at the
 4096-vertex graph6 cap (star and K_n against closed forms, the extremal
 graph and a seeded G(4096, 1/2) as a sha256), and `bound` for
-every kind on five operand pairs (one failing the join and corona
-connectivity hypotheses, one failing their size ordering, one with
-n1 * n2 > 4096) plus `bound theorem1` at five n.  A record with a
-`stdin` field reads it as standard input.  Records longer than 2000
-bytes are stored as their length and sha256.
+every kind on five operand pairs (two edgeless operands, failing the
+join and corona edge counts; a disconnected g with m1 >= n1 - 1,
+meeting them; n1 < n2, failing join's size ordering; one with
+n1 * n2 > 4096), join and corona each on one more pair that fails only
+its edge count and exceeds the formula (C@ BW and A_ B_), plus
+`bound theorem1` at five n.  A record with a `stdin` field reads it as
+standard input.  Records longer than 2000 bytes are stored as their
+length and sha256.
 
 The probe and sweep records in tests/data/golden_records.json were
 captured from the per-pair implementation, which built a Graph for every
@@ -29,7 +32,12 @@ functions, each a bool np.kron formula of its own; the one signed
 Kronecker term table (products.KRONECKER_TERMS) must reproduce them.
 The compute records were captured while degree_variance still summed
 squared float deviations over a degree Counter; the exact M1 identity
-must print the same 12 significant digits.
+must print the same 12 significant digits.  The join and corona
+hypotheses were read from connectivity until they moved to edge counts;
+that move re-captured exactly eight records: the six corona sweeps with
+n1 < n2, which now check pairs and report a witness, and
+`bound join FwbF? DF_` and `bound corona Bo Esa?`, which now read
+hypothesis_ok=true.
 """
 
 import hashlib

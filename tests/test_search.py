@@ -255,8 +255,9 @@ class TestSweep:
             sweep_operation_bounds(ProductKind.JOIN, 5, 2)
 
     def test_decodes_only_the_witness(self, monkeypatch):
-        # cartesian has no connectivity hypothesis, so no pool operand is
-        # decoded to test it; only the reported slack pair is
+        # every hypothesis is read from the pools' edge counts, so no pool
+        # operand is decoded to test it, for join and corona as for
+        # cartesian; only the reported slack pair is
         decoded = []
 
         def spy(n, code):
@@ -264,9 +265,11 @@ class TestSweep:
             return graph_from_code(n, code)
 
         monkeypatch.setattr(search, "graph_from_code", spy)
-        outcome = sweep_operation_bounds(ProductKind.CARTESIAN, 4, 4)
-        assert len(decoded) == 2
-        assert tuple(emit_graph6(graph_from_code(*x)) for x in decoded) == outcome.witness
+        for kind in (ProductKind.CARTESIAN, ProductKind.JOIN, ProductKind.CORONA):
+            decoded.clear()
+            outcome = sweep_operation_bounds(kind, 4, 4)
+            assert len(decoded) == 2, kind
+            assert tuple(emit_graph6(graph_from_code(*x)) for x in decoded) == outcome.witness
 
 
 class TestProbe:
