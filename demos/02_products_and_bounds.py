@@ -1,7 +1,8 @@
 """Each binary operation next to its upper bound, on a path and a cycle.
 
-The path/cycle pairing is exactly the family on which four of the product
-bounds are attained with equality, so the slack column shows zeros there.
+C_4 is regular, and the lexicographic, Cartesian, strong and direct
+bounds are attained exactly when an operand is regular, so the slack
+column shows zeros on those four rows.
 
 Run: python3 demos/02_products_and_bounds.py
 """

@@ -3,14 +3,15 @@ plus the parity-dispatched global maximum for a single graph.
 
 Each bound depends only on (n, m, irr_t) of the operands, and each
 composite's degree sequence follows from the operands' degrees
-(products.product_degree_rows), so a BoundReport compares the formula
-against the composite's exact total irregularity without building its
-adjacency.  BoundScan runs that check over operand pairs held as rows:
-two Operands pools (degree matrices) and one index array into each.
-Every hypothesis is read from the pools' vertex and edge counts, so a
-pool operand becomes a Graph only for a witness or a falsification.  A
-negative slack on a hypothesis-satisfying pair would falsify a published
-theorem and raises FalsificationError.
+(products.product_degree_rows; both come from products.KRONECKER_TERMS for
+the six Kronecker kinds), so a BoundReport compares the formula against the
+composite's exact total irregularity without building its adjacency.
+BoundScan runs that check over operand pairs held as rows: two Operands
+pools (degree matrices) and one index array into each.  Every hypothesis
+is read from the pools' vertex and edge counts, so a pool operand becomes
+a Graph only for a witness or a falsification.  A negative slack on a
+hypothesis-satisfying pair would falsify a published theorem and raises
+FalsificationError.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .indices import total_irregularity_rows
 # wraps the names totirr.bounds.apply_product and totirr.bounds.is_connected,
 # so they stay importable from this module
 from .graph import Graph, is_connected  # noqa: F401
-from .products import ProductKind, apply_product, product_degree_rows  # noqa: F401
+from .products import KRONECKER_TERMS, ProductKind, apply_product, product_degree_rows  # noqa: F401
 
 # The bound formulas are exact in int64 for operands with n1 * n2 <= 4096,
 # that is (n1 n2)^3 <= 6.9e10: every term, like the composite's irr_t, is
@@ -103,23 +104,18 @@ class BoundReport:
 
 
 def _bound_formula(kind: ProductKind, n1, m1, n2, m2, tg, th) -> int:
+    """The paper's bound for `kind`, on scalars or rows: join's and corona's
+    formulas, else n2 tg sum |c| sum Y over the KRONECKER_TERMS (c, A, Y) plus
+    n1 th sum |c| sum X over (c, X, B) (README, "Notes on the Kronecker bounds")."""
     if kind is ProductKind.JOIN:
         return tg + th + n2 * (n1 - 1) * (n1 - 2)
-    if kind is ProductKind.LEXICOGRAPHIC:
-        return n2**3 * tg + n1**2 * th
-    if kind is ProductKind.CARTESIAN:
-        return n2**2 * tg + n1**2 * th
-    if kind is ProductKind.STRONG:
-        return n2 * (n2 + 2 * m2) * tg + n1 * (n1 + 2 * m1) * th
-    if kind is ProductKind.DIRECT:
-        return 2 * n2 * m2 * tg + 2 * n1 * m1 * th
     if kind is ProductKind.CORONA:
         return tg + n1**2 * th + n1**2 * (n2**2 + n1 * n2 - 4 * n2 + 2)
-    if kind is ProductKind.DISJUNCTION:
-        return n2 * (n2**2 + 2 * m2) * tg + n1 * (n1**2 + 2 * m1) * th
-    if kind is ProductKind.SYMDIFF:
-        return n2 * (n2**2 + 4 * m2) * tg + n1 * (n1**2 + 4 * m1) * th
-    raise InputError(f"unknown product kind {kind!r}")
+    x_sums = {"A": 2 * m1, "I": n1, "J": n1**2}
+    y_sums = {"B": 2 * m2, "I": n2, "J": n2**2}
+    g_weight = sum(abs(c) * y_sums[y] for c, x, y in KRONECKER_TERMS[kind] if x == "A")
+    h_weight = sum(abs(c) * x_sums[x] for c, x, y in KRONECKER_TERMS[kind] if y == "B")
+    return n2 * tg * g_weight + n1 * th * h_weight
 
 
 def _hypothesis_ok(
@@ -199,6 +195,9 @@ class BoundScan:
     max_ratio: Optional[Fraction] = None
     _slack_at: Optional[Tuple[Operands, int, Operands, int]] = None
     _ratio_at: Optional[Tuple[Operands, int, Operands, int]] = None
+
+    def __post_init__(self):
+        self.kind = ProductKind(self.kind)
 
     @property
     def slack_pair(self) -> Optional[Tuple[Graph, Graph]]:
@@ -284,12 +283,12 @@ def evaluate_bound(kind: ProductKind, g: Graph, h: Graph) -> BoundReport:
     theorem's hypotheses hold (see _hypothesis_ok).  A violated bound
     under a satisfied hypothesis raises FalsificationError.
     """
-    kind = ProductKind(kind)
+    scan = BoundScan(kind)
     pg, ph = Operands.of_graphs([g]), Operands.of_graphs([h])
     first = np.zeros(1, dtype=np.intp)
-    actual, bound, ok = BoundScan(kind).check(pg, first, ph, first)
+    actual, bound, ok = scan.check(pg, first, ph, first)
     return BoundReport(
-        kind=kind,
+        kind=scan.kind,
         n1=g.n,
         m1=g.m,
         n2=h.n,

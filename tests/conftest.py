@@ -80,6 +80,29 @@ def product_degrees(
     return tuple(row[0].tolist())
 
 
+def paper_bound(kind: ProductKind, n1, m1, n2, m2, tg, th):
+    """The paper's eight bounds on irr_t of the composite, as it states
+    them, on scalars or rows: the reference for bounds._bound_formula,
+    which derives six of them from products.KRONECKER_TERMS."""
+    if kind is ProductKind.JOIN:
+        return tg + th + n2 * (n1 - 1) * (n1 - 2)
+    if kind is ProductKind.LEXICOGRAPHIC:
+        return n2**3 * tg + n1**2 * th
+    if kind is ProductKind.CARTESIAN:
+        return n2**2 * tg + n1**2 * th
+    if kind is ProductKind.STRONG:
+        return n2 * (n2 + 2 * m2) * tg + n1 * (n1 + 2 * m1) * th
+    if kind is ProductKind.DIRECT:
+        return 2 * n2 * m2 * tg + 2 * n1 * m1 * th
+    if kind is ProductKind.CORONA:
+        return tg + n1**2 * th + n1**2 * (n2**2 + n1 * n2 - 4 * n2 + 2)
+    if kind is ProductKind.DISJUNCTION:
+        return n2 * (n2**2 + 2 * m2) * tg + n1 * (n1**2 + 2 * m1) * th
+    if kind is ProductKind.SYMDIFF:
+        return n2 * (n2**2 + 4 * m2) * tg + n1 * (n1**2 + 4 * m1) * th
+    raise ValueError(f"unknown product kind {kind!r}")
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -37,10 +37,10 @@ from totirr.bounds import (
 )
 from totirr.formats import graph_from_bits
 from totirr.indices import total_irregularity_rows
-from totirr.products import product_degree_rows
+from totirr.products import KRONECKER_TERMS, product_degree_rows
 from totirr.search import _deterministic_battery, _labeled_operands
 
-from conftest import disjoint_union, labeled_graphs, random_graph, traced_peak
+from conftest import disjoint_union, labeled_graphs, paper_bound, random_graph, traced_peak
 
 K1 = gen_empty(1)
 
@@ -178,8 +178,8 @@ def degree_classes(n):
 @functools.lru_cache(maxsize=None)
 def class_pairs(kind):
     """Every pair of degree-sequence classes with n1, n2 <= 6, scored
-    as a scan scores rows: n1, n2, m1, m2, slack and the hypothesis mask,
-    each an array with one entry per pair."""
+    as a scan scores rows: n1, n2, m1, m2, tg, th, slack and the
+    hypothesis mask, each an array with one entry per pair."""
     # no pair is decoded, so the pools need no graph
     pools = [Operands(degree_classes(n), graph=None) for n in range(1, 7)]
     cells = []
@@ -188,9 +188,11 @@ def class_pairs(kind):
         actual = total_irregularity_rows(product_degree_rows(kind, g.degrees[a], h.degrees[b]))
         bound = _bound_formula(kind, g.n, g.m[a], h.n, h.m[b], g.irr_t[a], h.irr_t[b])
         n1, n2 = np.full(len(a), g.n), np.full(len(a), h.n)
-        cells.append((n1, n2, g.m[a], h.m[b], bound - actual, _hypothesis_ok(kind, g, a, h, b)))
+        ok = _hypothesis_ok(kind, g, a, h, b)
+        cells.append((n1, n2, g.m[a], h.m[b], g.irr_t[a], h.irr_t[b], bound - actual, ok))
     columns = [np.concatenate(column) for column in zip(*cells)]
-    return types.SimpleNamespace(**dict(zip(["n1", "n2", "m1", "m2", "slack", "ok"], columns)))
+    names = ["n1", "n2", "m1", "m2", "tg", "th", "slack", "ok"]
+    return types.SimpleNamespace(**dict(zip(names, columns)))
 
 
 class TestEdgeCountHypotheses:
@@ -229,6 +231,105 @@ class TestEdgeCountHypotheses:
         tight = p.ok & (p.slack == 0)
         assert tight.any()
         assert np.array_equal(tight, p.ok & (mbar1 == 0) & (p.m2 == p.n2 - 1))
+
+
+def split_slack(kind, dg, dh):
+    """Twice each row's slack left by the triangle inequality, summed
+    directly over the quadruples (u, u', v, v'): the sum of
+    sum_t |c_t| (|s1_t| + |s2_t|) - |sum_t c_t (s1_t + s2_t)| over the
+    kind's KRONECKER_TERMS (c_t, X, Y), where s1_t = (x(u) - x(u')) y(v)
+    and s2_t = x(u') (y(v) - y(v')) split the term's difference."""
+    n1, n2 = dg.shape[1], dh.shape[1]
+    x_rows = {"A": dg, "I": np.ones_like(dg), "J": np.full_like(dg, n1)}
+    y_rows = {"B": dh, "I": np.ones_like(dh), "J": np.full_like(dh, n2)}
+    unsigned = signed = 0
+    for c, x, y in KRONECKER_TERMS[kind]:
+        # axes (row, u, u', v, v')
+        xu, xu_ = x_rows[x][:, :, None, None, None], x_rows[x][:, None, :, None, None]
+        yv, yv_ = y_rows[y][:, None, None, :, None], y_rows[y][:, None, None, None, :]
+        s1, s2 = (xu - xu_) * yv, xu_ * (yv - yv_)
+        unsigned = unsigned + abs(c) * (abs(s1) + abs(s2))
+        signed = signed + c * (s1 + s2)
+    return (unsigned - abs(signed)).sum(axis=(1, 2, 3, 4))
+
+
+class TestKroneckerBounds:
+    """_bound_formula reads the six Kronecker bounds from KRONECKER_TERMS:
+    it matches the paper's formulas (conftest.paper_bound) on Python ints
+    and on int64 and object rows, its slack is the triangle inequality's,
+    and the equality cases are pinned on every class pair with n <= 6."""
+
+    def test_matches_paper_on_python_ints(self, rng):
+        top = 0
+        for kind in ProductKind:
+            for _ in range(1000):
+                n1, n2 = rng.randint(1, 5000), rng.randint(1, 5000)
+                m1, m2 = rng.randint(0, n1 * (n1 - 1) // 2), rng.randint(0, n2 * (n2 - 1) // 2)
+                tg, th = rng.randint(0, bound_theorem1(n1)), rng.randint(0, bound_theorem1(n2))
+                got = _bound_formula(kind, n1, m1, n2, m2, tg, th)
+                assert type(got) is int and got == paper_bound(kind, n1, m1, n2, m2, tg, th), kind
+                top = max(top, got)
+        assert top > 2**63
+
+    @pytest.mark.parametrize("kind", list(ProductKind))
+    @pytest.mark.parametrize(
+        "dtype,n1,n2", [(np.int64, 64, 64), (np.int64, 4, 7), (object, 70, 59), (object, 5000, 3000)]
+    )
+    def test_matches_paper_on_rows(self, kind, dtype, n1, n2):
+        draw = np.random.default_rng(n1 * n2)
+        m1, m2 = (draw.integers(0, n * (n - 1) // 2 + 1, 256).astype(dtype) for n in (n1, n2))
+        tg, th = (draw.integers(0, bound_theorem1(n) + 1, 256).astype(dtype) for n in (n1, n2))
+        got = _bound_formula(kind, n1, m1, n2, m2, tg, th)
+        assert got.dtype == dtype
+        rows = zip(*(t.tolist() for t in (m1, m2, tg, th)))
+        assert got.tolist() == [paper_bound(kind, n1, a, n2, b, x, y) for a, b, x, y in rows]
+
+    @pytest.mark.parametrize("kind", list(KRONECKER_TERMS))
+    def test_slack_is_the_split_triangle_inequality(self, kind):
+        pairs = 0
+        for n1, n2 in itertools.product(range(1, 6), repeat=2):
+            g, h = (Operands(degree_classes(n), graph=None) for n in (n1, n2))
+            a, b = np.divmod(np.arange(len(g) * len(h)), len(h))
+            dg, dh = g.degrees[a], h.degrees[b]
+            actual = total_irregularity_rows(product_degree_rows(kind, dg, dh))
+            bound = _bound_formula(kind, n1, g.m[a], n2, h.m[b], g.irr_t[a], h.irr_t[b])
+            assert np.array_equal(2 * (bound - actual), split_slack(kind, dg, dh)), (n1, n2)
+            pairs += len(a)
+        assert pairs == 2401
+
+    @pytest.mark.parametrize(
+        "kind", [ProductKind.LEXICOGRAPHIC, ProductKind.CARTESIAN, ProductKind.STRONG, ProductKind.DIRECT]
+    )
+    def test_tight_exactly_with_a_regular_operand(self, kind):
+        # slack 0 needs every quadruple's split halves to share a sign,
+        # which fails as soon as both operands are irregular
+        p = class_pairs(kind)
+        regular = p.tg * p.th == 0
+        assert p.ok.all()
+        assert np.count_nonzero(regular) == 5112 and np.count_nonzero(~regular) == 17689
+        assert np.array_equal(p.slack == 0, regular)
+
+    @pytest.mark.parametrize(
+        "kind,c,min_slack", [(ProductKind.DISJUNCTION, -1, 68), (ProductKind.SYMDIFF, -2, 112)]
+    )
+    def test_disjunction_and_symdiff_equality_cases(self, kind, c, min_slack):
+        # with G r-regular only the B halves remain: n1 Delta of J (x) B and
+        # c r Delta of c A (x) B, Delta = dh(v) - dh(v').  They lose
+        # (n1 + |c| r - |n1 + c r|) |Delta| = 2 min(n1, |c| r) |Delta|, so
+        # the slack is 2 n1^2 min(n1, |c| r) th: zero only if G is edgeless
+        assert (c, "A", "B") in KRONECKER_TERMS[kind]
+        p = class_pairs(kind)
+        assert p.ok.all()
+        r1, r2 = 2 * p.m1 // p.n1, 2 * p.m2 // p.n2
+        g_regular, h_regular = (p.tg == 0) & (p.th > 0), (p.th == 0) & (p.tg > 0)
+        g_slack = 2 * p.n1**2 * np.minimum(p.n1, -c * r1) * p.th
+        h_slack = 2 * p.n2**2 * np.minimum(p.n2, -c * r2) * p.tg
+        assert np.array_equal(p.slack[g_regular], g_slack[g_regular])
+        assert np.array_equal(p.slack[h_regular], h_slack[h_regular])
+        tight = p.slack == 0
+        assert np.count_nonzero(tight) == 1920
+        assert np.array_equal(tight, ((p.tg == 0) & (p.th == 0)) | (p.m1 == 0) | (p.m2 == 0))
+        assert p.slack[p.tg * p.th > 0].min() == min_slack
 
 
 class TestDisjunctionBound:
@@ -315,7 +416,7 @@ def scalar_scan(kind, pairs):
     for g, h in pairs:
         actual = total_irregularity(apply_product(kind, g, h).degrees())
         tg, th = graph_total_irregularity(g), graph_total_irregularity(h)
-        bound = _bound_formula(kind, g.n, g.m, h.n, h.m, tg, th)
+        bound = paper_bound(kind, g.n, g.m, h.n, h.m, tg, th)
         if kind is ProductKind.JOIN:
             ok = g.n >= h.n and g.m >= g.n - 1 and h.m >= h.n - 1
         elif kind is ProductKind.CORONA:
@@ -331,6 +432,17 @@ def scalar_scan(kind, pairs):
         if bound > 0 and (max_ratio is None or Fraction(actual, bound) > max_ratio):
             max_ratio, ratio_pair = Fraction(actual, bound), (g, h)
     return checked, min_slack, slack_pair, max_ratio, ratio_pair
+
+
+@pytest.mark.parametrize("kind", list(ProductKind))
+def test_string_kind_scores_like_its_enum(kind):
+    g, h = _labeled_operands(3), _labeled_operands(3)
+    by_name, by_enum = BoundScan(kind.value), BoundScan(kind)
+    by_name.check_all(g, h)
+    by_enum.check_all(g, h)
+    assert by_name.kind is kind
+    reduced = [(s.checked, s.min_slack, s.slack_pair, s.max_ratio, s.ratio_pair) for s in (by_name, by_enum)]
+    assert reduced[0] == reduced[1]
 
 
 def row_scan(kind, g, a, h, b, batch):
@@ -372,7 +484,7 @@ class TestRowScanAgainstScalarOracle:
         report = evaluate_bound(kind, g, h)
         tg, th = graph_total_irregularity(g), graph_total_irregularity(h)
         assert report.actual == total_irregularity(apply_product(kind, g, h).degrees())
-        assert report.bound == _bound_formula(kind, g.n, g.m, h.n, h.m, tg, th)
+        assert report.bound == paper_bound(kind, g.n, g.m, h.n, h.m, tg, th)
 
 
 def test_pool_pairs_are_scored_in_batches(monkeypatch):
@@ -427,7 +539,7 @@ def test_values_past_int64_stay_exact():
     tg = graph_total_irregularity(g)
     report = evaluate_bound(ProductKind.SYMDIFF, g, h)
     assert report.actual == 2000**2 * 1998 * tg > 2**63
-    assert report.bound == _bound_formula(ProductKind.SYMDIFF, 2000, g.m, 2000, h.m, tg, 0) > 2**63
+    assert report.bound == paper_bound(ProductKind.SYMDIFF, 2000, g.m, 2000, h.m, tg, 0) > 2**63
 
 def test_ratios_equal_as_floats_are_compared_exactly(monkeypatch):
     """Two rows whose ratios differ by less than a float64 ulp: the later,

@@ -35,7 +35,7 @@ from totirr.search import (
     _sorting_network,
 )
 
-from conftest import labeled_graphs, traced_peak
+from conftest import labeled_graphs, paper_bound, traced_peak
 
 
 class TestEnumeration:
@@ -333,14 +333,13 @@ class TestProbe:
     def test_witness_reproduces_ratio(self):
         outcome = probe_open_problem(ProductKind.DISJUNCTION, 4, 3, samples=300, seed=7)
         from totirr import apply_product
-        from totirr.bounds import _bound_formula
 
         g = parse_graph6(outcome.witness[0])
         h = parse_graph6(outcome.witness[1])
         actual = graph_total_irregularity(apply_product(ProductKind.DISJUNCTION, g, h))
         tg = graph_total_irregularity(g)
         th = graph_total_irregularity(h)
-        bound = _bound_formula(ProductKind.DISJUNCTION, g.n, g.m, h.n, h.m, tg, th)
+        bound = paper_bound(ProductKind.DISJUNCTION, g.n, g.m, h.n, h.m, tg, th)
         assert Fraction(actual, bound) == outcome.max_ratio
 
     def test_rejects_wrong_kind(self):
