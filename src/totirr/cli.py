@@ -26,7 +26,7 @@ from .families import (
     gen_random_tree,
     gen_star,
 )
-from .formats import check_graph6_size, emit_graph6, format_record, parse_edge_list, parse_graph6
+from .formats import BLANKS, check_graph6_size, emit_graph6, format_record, parse_edge_list, parse_graph6
 from .graph import Graph
 from .indices import (
     collatz_sinogowitz,
@@ -152,26 +152,27 @@ def _read_input(path: str) -> str:
     return data.decode("ascii", "surrogateescape")
 
 
+def _graph6(text: str) -> Graph:
+    """Decode one graph6 string given by the user, with blanks (BLANKS)
+    around it; an error's offset counts bytes from the start of `text`."""
+    try:
+        return parse_graph6(text.strip(BLANKS))
+    except Graph6ParseError as exc:
+        lead = len(text) - len(text.lstrip(BLANKS))
+        raise Graph6ParseError(exc.message, lead + exc.offset) from None
+
+
 def _load_graphs(text: str, fmt: str) -> List[Graph]:
     if fmt == "edgelist":
         return [parse_edge_list(text)]
-    graphs = []
-    for line in text.splitlines():
-        g6 = line.strip()
-        if g6:
-            try:
-                graphs.append(parse_graph6(g6))
-            except Graph6ParseError as exc:
-                # an offset counts bytes from the start of the line as given
-                lead = len(line) - len(line.lstrip())
-                raise Graph6ParseError(exc.message, lead + exc.offset) from None
+    graphs = [_graph6(line) for line in text.split("\n") if line.strip(BLANKS)]
     if not graphs:
         raise InputError("no graphs in input")
     return graphs
 
 
 def _cmd_compute(args, out) -> None:
-    names = [name.strip() for name in args.indices.split(",") if name.strip()]
+    names = [name.strip(BLANKS) for name in args.indices.split(",") if name.strip(BLANKS)]
     for name in names:
         if name not in INDEX_FUNCS:
             raise InputError(f"unknown index {name!r}; choose from {','.join(INDEX_FUNCS)}")
@@ -202,8 +203,8 @@ def _cmd_gen(args, out) -> None:
 
 def _cmd_op(args, out) -> None:
     kind = ProductKind(args.kind)
-    g = parse_graph6(args.a)
-    h = parse_graph6(args.b)
+    g = _graph6(args.a)
+    h = _graph6(args.b)
     n = {ProductKind.JOIN: g.n + h.n, ProductKind.CORONA: g.n + g.n * h.n}.get(kind, g.n * h.n)
     check_graph6_size(n)
     print(emit_graph6(apply_product(kind, g, h)), file=out)
@@ -237,10 +238,13 @@ def _cmd_bound(args, out) -> None:
             raise InputError("bound theorem1 does not take operands (products only)")
         if args.n is None:
             raise InputError("bound theorem1 requires --n")
+        bound = bound_theorem1(args.n)
+        # Python 3.11+ refuses str() of an int past its digit limit (0: none)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and bound >= 10**limit:
+            raise InputError(f"bound theorem1 --n: bound exceeds Python's {limit}-digit int print limit")
         print(
-            format_record(
-                [("task", "bound"), ("kind", "theorem1"), ("n", args.n), ("bound", bound_theorem1(args.n))]
-            ),
+            format_record([("task", "bound"), ("kind", "theorem1"), ("n", args.n), ("bound", bound)]),
             file=out,
         )
         return
@@ -248,8 +252,8 @@ def _cmd_bound(args, out) -> None:
         raise InputError(f"bound {args.kind} does not take --n (theorem1 only)")
     if args.a is None or args.b is None:
         raise InputError(f"bound {args.kind} requires two graph6 operands")
-    g = parse_graph6(args.a)
-    h = parse_graph6(args.b)
+    g = _graph6(args.a)
+    h = _graph6(args.b)
     report = evaluate_bound(ProductKind(args.kind), g, h)
     print(_bound_record(report, emit_graph6(g), emit_graph6(h)), file=out)
 

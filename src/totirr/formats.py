@@ -28,6 +28,9 @@ from .errors import EdgeListParseError, Graph6ParseError, InputError
 from .graph import Graph, from_edge_list, mirror_lower
 
 MAX_GRAPH6_N = 4096
+# the bytes a text input may have around a graph6 string or an edge-list
+# field; a line ends at "\n" alone, so "\r" before it is a blank too
+BLANKS = " \t\r"
 
 
 @functools.lru_cache(maxsize=4)  # bounded: the n = 4096 entry holds 16 MB
@@ -155,20 +158,20 @@ def parse_edge_list(text: str) -> Graph:
 
     Header line "n <count>" with count <= MAX_GRAPH6_N, then one "u v" pair
     per line, all numbers in ASCII decimal digits; '#' comments and blank
-    lines are ignored.  Errors carry 1-based line numbers.
+    lines are ignored.  A line ends at "\n", fields are separated by spaces
+    and tabs, and BLANKS around a line are ignored; any other byte is part
+    of a field.  Errors carry 1-based line numbers.
     """
     n = None
     edges: List[Tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip(BLANKS)
         if not line:
             continue
-        tokens = line.split()
+        tokens = [t for t in line.replace("\t", " ").split(" ") if t]
         if n is None:
             if len(tokens) != 2 or tokens[0] != "n":
-                raise EdgeListParseError(
-                    f"expected header 'n <count>', got {raw.strip()!r}", lineno
-                )
+                raise EdgeListParseError(f"expected header 'n <count>', got {raw.strip(BLANKS)!r}", lineno)
             if not _is_decimal(tokens[1]):
                 raise EdgeListParseError(f"bad vertex count {tokens[1]!r}", lineno)
             n = int(tokens[1])
@@ -180,14 +183,14 @@ def parse_edge_list(text: str) -> Graph:
                 )
             continue
         if len(tokens) != 2:
-            raise EdgeListParseError(f"expected 'u v', got {raw.strip()!r}", lineno)
+            raise EdgeListParseError(f"expected 'u v', got {raw.strip(BLANKS)!r}", lineno)
         if not all(map(_is_decimal, tokens)):
-            raise EdgeListParseError(f"non-decimal endpoint in {raw.strip()!r}", lineno)
+            raise EdgeListParseError(f"non-decimal endpoint in {raw.strip(BLANKS)!r}", lineno)
         u, v = int(tokens[0]), int(tokens[1])
         if u == v:
             raise EdgeListParseError(f"self-loop {u} {v}", lineno)
         if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListParseError(f"endpoint outside [0, {n - 1}] in {raw.strip()!r}", lineno)
+            raise EdgeListParseError(f"endpoint outside [0, {n - 1}] in {raw.strip(BLANKS)!r}", lineno)
         edges.append((u, v))
     if n is None:
         raise EdgeListParseError("missing header line 'n <count>'", 1)

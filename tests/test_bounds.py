@@ -232,6 +232,18 @@ class TestEdgeCountHypotheses:
         assert tight.any()
         assert np.array_equal(tight, p.ok & (mbar1 == 0) & (p.m2 == p.n2 - 1))
 
+    def test_join_equality_case(self):
+        # under the rule, tight exactly when m1 = n1 - 1 and h is complete,
+        # or when n1 = n2, g is complete and m2 = n2 - 1; never with two
+        # irregular operands
+        p = class_pairs(ProductKind.JOIN)
+        g_complete, h_complete = p.m1 == p.n1 * (p.n1 - 1) // 2, p.m2 == p.n2 * (p.n2 - 1) // 2
+        tight = p.ok & (p.slack == 0)
+        assert np.count_nonzero(p.ok) == 11190 and np.count_nonzero(tight) == 122
+        cases = ((p.m1 == p.n1 - 1) & h_complete) | ((p.n1 == p.n2) & g_complete & (p.m2 == p.n2 - 1))
+        assert np.array_equal(tight, p.ok & cases)
+        assert not (tight & (p.tg > 0) & (p.th > 0)).any()
+
 
 def split_slack(kind, dg, dh):
     """Twice each row's slack left by the triangle inequality, summed

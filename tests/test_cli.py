@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import subprocess
@@ -10,7 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import totirr
-from totirr import emit_graph6, gen_cycle, gen_empty, gen_path, parse_graph6, parse_record
+from totirr import (
+    Graph6ParseError,
+    bound_theorem1,
+    emit_graph6,
+    gen_cycle,
+    gen_empty,
+    gen_path,
+    graph_from_code,
+    parse_graph6,
+    parse_record,
+)
 from totirr.cli import cli_main
 
 from conftest import stdin_of
@@ -199,6 +210,136 @@ def test_graph6_error_offset_counts_leading_whitespace(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", stdin_of("  C!\n"))
     assert run_cli("compute") == (1, "")
     assert capsys.readouterr().err == "error: byte 33 outside printable graph6 range [63, 126] (byte offset 3)\n"
+
+
+# a graph6 line ends at "\n"; spaces, tabs and "\r" around it are blanks,
+# and any other byte outside 63-126 is an error at its offset in the line,
+# the ones str.splitlines reads as line breaks included
+@pytest.mark.parametrize(
+    "stdin,message",
+    [
+        *[(f"A_{sep}A_\n", "trailing bytes after payload (byte offset 2)") for sep in "\x1c\x0b\x0c\x1d\x1e\r"],
+        ("A_\x1cC!\n", "trailing bytes after payload (byte offset 2)"),
+        ("A_\x1f\n", "trailing bytes after payload (byte offset 2)"),
+        ("\x1fA_\n", "byte 31 outside printable graph6 range [63, 126] (byte offset 0)"),
+        ("A_\n\t \x0c\n", "byte 12 outside printable graph6 range [63, 126] (byte offset 2)"),
+    ],
+    ids=["x1c", "x0b", "x0c", "x1d", "x1e", "lone-cr", "offset-in-line", "trailing-x1f", "leading-x1f",
+         "x0c-line"],
+)
+def test_other_control_bytes_in_a_graph6_line_exit_1(stdin, message, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", stdin_of(stdin))
+    assert run_cli("compute") == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "stdin",
+    ["A_\r\nBw\r\n", "\n \t\nA_\n\t\n\nBw", " \tA_\t \nBw \r\n"],
+    ids=["crlf", "blank-and-tab-lines", "blanks-around"],
+)
+def test_blanks_keep_the_records(stdin, monkeypatch):
+    monkeypatch.setattr("sys.stdin", stdin_of(stdin))
+    got = run_cli("compute")
+    monkeypatch.setattr("sys.stdin", stdin_of("A_\nBw\n"))
+    assert got == run_cli("compute") and got[0] == 0
+
+
+@pytest.mark.parametrize(
+    "stdin,code,out,err",
+    [
+        ("n 3\n0\t1\r\n 1 \t2\n", 0, "task=compute input=Bg index=irr_t value=2\n", ""),
+        ("n 3\n0 1\x1c1 2\n", 1, "", "error: expected 'u v', got '0 1\\x1c1 2' (line 2)\n"),
+        ("n 2\n0\x1f1\n", 1, "", "error: expected 'u v', got '0\\x1f1' (line 2)\n"),
+    ],
+    ids=["tabs-and-crlf", "file-separator", "unit-separator"],
+)
+def test_edge_list_fields_split_at_spaces_and_tabs_only(stdin, code, out, err, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", stdin_of(stdin))
+    assert run_cli("compute", "--format", "edgelist", "--indices", "irr_t") == (code, out)
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("command", ["bound", "op"])
+def test_operands_follow_the_line_rule(command):
+    assert run_cli(command, "join", "A_\r", " A_") == run_cli(command, "join", "A_", "A_")
+    assert run_cli(command, "join", "\tBw", "A_\t\r")[1] == run_cli(command, "join", "Bw", "A_")[1] != ""
+
+
+@pytest.mark.parametrize("command", ["bound", "op"])
+@pytest.mark.parametrize(
+    "a,b,message",
+    [
+        ("A_", "  C!", "byte 33 outside printable graph6 range [63, 126] (byte offset 3)"),
+        ("A_\x1c", "A_", "trailing bytes after payload (byte offset 2)"),
+        ("A_", " ", "empty graph6 string (byte offset 1)"),
+    ],
+    ids=["offset-after-blanks", "control-byte", "blank-operand"],
+)
+def test_operand_errors_count_bytes_as_given(command, a, b, message, capsys):
+    assert run_cli(command, "join", a, b) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+INT_PRINT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (Python 3.10)
+
+
+def test_theorem1_bound_past_the_int_print_limit(capsys):
+    # the largest n whose bound has at most 4300 digits, the default limit
+    digits = INT_PRINT_LIMIT or 4300
+    lo, hi = 1, 10 ** (digits // 3 + 1)  # the bound is about n^3/6
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if bound_theorem1(mid) < 10**digits else (lo, mid - 1)
+    for n in (10**20 - 1, lo, lo + 1, 10**2000 - 1):
+        code, text = run_cli("bound", "theorem1", "--n", str(n))
+        if INT_PRINT_LIMIT and bound_theorem1(n) >= 10**INT_PRINT_LIMIT:
+            assert n > lo and (code, text) == (1, "")
+            message = f"bound theorem1 --n: bound exceeds Python's {INT_PRINT_LIMIT}-digit int print limit"
+            assert capsys.readouterr().err == f"error: {message}\n"
+        else:
+            assert n <= lo or not INT_PRINT_LIMIT
+            assert (code, text) == (0, f"task=bound kind=theorem1 n={n} bound={bound_theorem1(n)}\n")
+
+
+STDIN_SEPARATORS = ["\n", "\r\n", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+@st.composite
+def graph6_stdin(draw):
+    """Valid graph6 strings, joined and padded with separators."""
+    codes = st.integers(1, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1))
+    )
+    graphs = [emit_graph6(graph_from_code(n, c)) for n, c in draw(st.lists(codes, max_size=4))]
+    sep = st.lists(st.sampled_from(STDIN_SEPARATORS), max_size=3).map("".join)
+    seps = [draw(sep) for _ in range(len(graphs) + 1)]
+    return seps[0] + "".join(g + s for g, s in zip(graphs, seps[1:]))
+
+
+@given(text=graph6_stdin())
+@settings(max_examples=150, deadline=None)
+def test_graph6_stdin_ends_in_records_or_one_error(text):
+    # one record per non-blank "\n"-line, its input= the line's canonical
+    # graph6, or else one error line and nothing on stdout
+    expected, valid = [], True
+    for line in text.split("\n"):
+        g6 = line.strip(" \t\r")
+        if g6:
+            try:
+                expected.append(emit_graph6(parse_graph6(g6)))
+            except Graph6ParseError:
+                valid = False
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr("sys.stdin", stdin_of(text))
+        code, out = run_cli("compute", "--indices", "irr_t")
+    if valid and expected:
+        assert code == 0 and err.getvalue() == ""
+        assert [parse_record(line)["input"] for line in out.splitlines()] == expected
+    else:
+        assert (code, out) == (1, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_gen_invalid_params():

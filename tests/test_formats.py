@@ -308,6 +308,31 @@ class TestEdgeList:
             parse_edge_list(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize(
+        "text",
+        ["n 3\r\n0 1\r\n1 2\r\n", "n 3\n\t\n \n0\t1\n\t 1 \t2 \r\n", " \tn\t3\n0 1 # edge\t\n1 2"],
+        ids=["crlf", "blank-lines-and-tabs", "tab-fields-and-comment"],
+    )
+    def test_spaces_tabs_and_cr_are_blanks(self, text):
+        assert parse_edge_list(text) == gen_path(3)
+
+    @pytest.mark.parametrize(
+        "text,quoted",
+        [
+            ("n 3\n0 1\x1c1 2\n", "'0 1\\x1c1 2'"),
+            ("n 2\n0\x1f1\n", "'0\\x1f1'"),
+            ("n 2\n0\x0b1\n", "'0\\x0b1'"),
+            ("n 3\n0 1\r1 2\n", "'0 1\\r1 2'"),
+        ],
+        ids=["file-separator", "unit-separator", "vertical-tab", "lone-cr"],
+    )
+    def test_other_control_bytes_are_not_separators(self, text, quoted):
+        # str.splitlines and str.split would read each as a line break or
+        # a field separator; a line ends at "\n", fields part at " " and "\t"
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(text)
+        assert exc.value.line == 2 and quoted in str(exc.value)
+
 
 class TestRecords:
     def test_round_trip(self):
