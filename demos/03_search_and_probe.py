@@ -1,6 +1,8 @@
 """Verification engines: brute-force the single-graph maximum, sweep an
-operation bound exhaustively, and probe the open tightness question for
-disjunction / symmetric difference with seeded random pairs.
+operation bound exhaustively, and probe the disjunction / symmetric
+difference bounds with seeded random pairs.  The probe's battery has an
+edgeless operand, which attains either bound; no two irregular operands
+do, and only how close such pairs come is open.
 
 Run: python3 demos/03_search_and_probe.py
 """
@@ -30,7 +32,7 @@ print(
 )
 
 print()
-print("Seeded probe of the open question (are these bounds attainable?):")
+print("Seeded probe of the bounds (the battery's edgeless operand attains them):")
 for kind in (ProductKind.DISJUNCTION, ProductKind.SYMDIFF):
     outcome = probe_open_problem(kind, 4, 4, samples=2000, seed=7)
     print(

@@ -36,7 +36,7 @@ from .indices import (
     zagreb_m1,
     zagreb_m2,
 )
-from .products import ProductKind, apply_product, corona, join
+from .products import ProductKind, apply_product
 from .search import (
     SearchOutcome,
     graph_from_code,

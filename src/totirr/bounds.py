@@ -16,6 +16,7 @@ FalsificationError.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Tuple
@@ -70,6 +71,10 @@ class Operands:
 def bound_theorem1(n: int) -> int:
     """Maximum possible total irregularity over all graphs on n vertices:
     (2n^3 - 3n^2 - 2n)/12 for even n, (2n^3 - 3n^2 - 2n + 3)/12 for odd n."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InputError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
     num = 2 * n**3 - 3 * n**2 - 2 * n

@@ -56,12 +56,15 @@ def gen_complete_multipartite(parts: Sequence[int]) -> Graph:
 
     A vertex in a part of size p has degree n - p.
     """
-    if not parts:
+    sizes = [operator.index(p) if hasattr(type(p), "__index__") else None for p in parts]
+    if not sizes:
         raise InputError("at least one part is required")
-    for p in parts:
-        if p < 1:
-            raise InputError(f"part sizes must be >= 1, got {p}")
-    labels = np.repeat(np.arange(len(parts)), parts)
+    for p, size in zip(parts, sizes):
+        if size is None:
+            raise InputError(f"part size {p!r} is not an integer")
+        if size < 1:
+            raise InputError(f"part sizes must be >= 1, got {size}")
+    labels = np.repeat(np.arange(len(sizes)), sizes)
     adj = labels[:, None] != labels[None, :]
     return Graph(adj)
 

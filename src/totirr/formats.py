@@ -142,9 +142,8 @@ def emit_graph6(g: Graph) -> str:
         out.append(((n >> 6) & 63) + 63)
         out.append((n & 63) + 63)
     k = n * (n - 1) // 2
-    bits = np.zeros(-(-k // 24) * 24, dtype=bool)  # zero padding to whole 3-byte groups
-    bits[:k] = g.adjacency[triangle_mask(n)]
-    payload = _bytes_to_sextets(np.packbits(bits))[: -(-k // 6)] + 63
+    packed = np.packbits(g.adjacency[triangle_mask(n)])  # zero-pads the last byte
+    payload = _bytes_to_sextets(np.pad(packed, (0, -packed.size % 3)))[: -(-k // 6)] + 63
     return (bytes(out) + payload.tobytes()).decode("ascii")
 
 

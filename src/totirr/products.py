@@ -1,19 +1,21 @@
 """Binary graph operations: join, four coordinate products, corona,
 disjunction and symmetric difference.
 
-All n1*n2-vertex products label the composite vertex (u, v) as u * n2 + v,
-which is exactly the Kronecker-product block layout.  Each of the six is a
-sum of signed Kronecker terms c * X (x) Y in KRONECKER_TERMS, with X one of
-g's adjacency A, the identity I or the all-ones J, and Y one of h's B, I
-or J.  The adjacency is the sum of the terms' np.krons, which has 0/1
-entries, so apply_product takes it as the XOR of the odd-coefficient
-terms.  The degree rows sum the same terms with each factor replaced by
-its row sums, since X (x) Y has row sum x(u) * y(v) at (u, v): d_g or d_h
-for A and B, 1 for I, and n1 or n2 for J.  Join and corona are block
-builders; corona places g's vertices first, followed by the copies of h
-in order.  product_degree_rows gives the composites' degree sequences
-from the operands' degrees alone, one operand pair per row; it is the one
-way to get a composite's degree sequence without building the composite.
+apply_product is the one builder of a composite's adjacency.  Join and
+corona are its two block branches; corona places g's vertices first,
+followed by the copies of h in order.  All n1*n2-vertex products label the
+composite vertex (u, v) as u * n2 + v, which is exactly the
+Kronecker-product block layout.  Each of the six is a sum of signed
+Kronecker terms c * X (x) Y in KRONECKER_TERMS, with X one of g's
+adjacency A, the identity I or the all-ones J, and Y one of h's B, I or J.
+That sum has 0/1 entries, so the composite is the XOR of the
+odd-coefficient terms' np.krons, with one term alive at a time.  The
+degree rows sum the same terms with each factor replaced by its row sums,
+since X (x) Y has row sum x(u) * y(v) at (u, v): d_g or d_h for A and B, 1
+for I, and n1 or n2 for J.  product_degree_rows gives the composites'
+degree sequences from the operands' degrees alone, one operand pair per
+row; it is the one way to get a composite's degree sequence without
+building the composite.
 """
 
 from __future__ import annotations
@@ -51,54 +53,42 @@ KRONECKER_TERMS = {
 }
 
 
-def join(g: Graph, h: Graph) -> Graph:
-    """Both graphs plus every cross edge.  d(u) gains n2 on the g side
-    and n1 on the h side."""
-    n1, n2 = g.n, h.n
-    adj = np.ones((n1 + n2, n1 + n2), dtype=bool)
-    adj[:n1, :n1] = g.adjacency
-    adj[n1:, n1:] = h.adjacency
-    return Graph(adj)
-
-
-def corona(g: Graph, h: Graph) -> Graph:
-    """g plus g.n copies of h; vertex i of g joined to all of copy i.
-
-    Copy i of h occupies labels n1 + i*n2 .. n1 + (i+1)*n2 - 1.
-    Degrees: d_g(u) + n2 on the g part, d_h(v) + 1 inside every copy.
-    """
-    n1, n2 = g.n, h.n
-    n = n1 + n1 * n2
-    adj = np.zeros((n, n), dtype=bool)
-    adj[:n1, :n1] = g.adjacency
-    for i in range(n1):
-        lo = n1 + i * n2
-        hi = lo + n2
-        adj[lo:hi, lo:hi] = h.adjacency
-        adj[i, lo:hi] = True
-        adj[lo:hi, i] = True
-    return Graph(adj)
-
-
-def _factors(adj: np.ndarray, name: str) -> dict:
-    n = adj.shape[0]
-    return {name: adj, "I": np.eye(n, dtype=bool), "J": np.ones((n, n), dtype=bool)}
+def _factor(adj: np.ndarray, name: str) -> np.ndarray:
+    """Kronecker factor `name` of the operand with adjacency adj: adj
+    itself for A or B, else I or J of its size."""
+    if name == "I":
+        return np.eye(len(adj), dtype=bool)
+    return np.ones(adj.shape, dtype=bool) if name == "J" else adj
 
 
 def apply_product(kind: ProductKind, g: Graph, h: Graph) -> Graph:
-    """The composite of g and h.  A Kronecker kind's signed sum has 0/1
+    """The composite of g and h, the one builder of a composite adjacency.
+
+    Join is both graphs plus every cross edge.  Corona is g plus g.n copies
+    of h, vertex i of g joined to all of copy i, which occupies labels
+    n1 + i*n2 .. n1 + (i+1)*n2 - 1.  A Kronecker kind's signed sum has 0/1
     entries, so each entry is its own parity: the sum is the XOR of the
-    terms with odd coefficients, evaluated in bool one np.kron at a time."""
+    terms with odd coefficients, each term and its factors built when it
+    is reached and dropped before the next.
+    """
     kind = ProductKind(kind)
+    n1, n2 = g.n, h.n
     if kind is ProductKind.JOIN:
-        return join(g, h)
-    if kind is ProductKind.CORONA:
-        return corona(g, h)
-    x_factors, y_factors = _factors(g.adjacency, "A"), _factors(h.adjacency, "B")
-    odd = (np.kron(x_factors[x], y_factors[y]) for c, x, y in KRONECKER_TERMS[kind] if c % 2)
-    adj = next(odd)
-    for term in odd:
-        adj ^= term
+        adj = np.ones((n1 + n2, n1 + n2), dtype=bool)
+        adj[:n1, :n1] = g.adjacency
+        adj[n1:, n1:] = h.adjacency
+    elif kind is ProductKind.CORONA:
+        n = n1 + n1 * n2
+        adj = np.zeros((n, n), dtype=bool)
+        adj[:n1, :n1] = g.adjacency
+        for i in range(n1):
+            lo, hi = n1 + i * n2, n1 + (i + 1) * n2
+            adj[lo:hi, lo:hi] = h.adjacency
+            adj[i, lo:hi] = adj[lo:hi, i] = True
+    else:
+        adj = np.zeros((n1 * n2, n1 * n2), dtype=bool)
+        for x, y in [(x, y) for c, x, y in KRONECKER_TERMS[kind] if c % 2]:
+            adj ^= np.kron(_factor(g.adjacency, x), _factor(h.adjacency, y))
     return Graph(adj)
 
 

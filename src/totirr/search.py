@@ -35,6 +35,7 @@ built only for a witness or a falsification.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +74,10 @@ def num_labeled_graphs(n: int) -> int:
 def graph_from_code(n: int, code: int) -> Graph:
     """Decode an enumeration code, 0 <= code < num_labeled_graphs(n),
     into a Graph."""
+    try:
+        n, code = operator.index(n), operator.index(code)
+    except TypeError:
+        raise InputError(f"n and code must be integers, got n = {n!r}, code = {code!r}") from None
     k = n * (n - 1) // 2
     if n < 1 or not 0 <= code < num_labeled_graphs(n):
         raise InputError(f"need n >= 1 and 0 <= code < 2^{k}, got n = {n}, code = {code}")

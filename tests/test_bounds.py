@@ -9,6 +9,7 @@ import pytest
 
 from totirr import (
     FalsificationError,
+    InputError,
     ProductKind,
     apply_product,
     bound_theorem1,
@@ -49,6 +50,15 @@ class TestTheorem1Formula:
     @pytest.mark.parametrize("n,expected", [(1, 0), (2, 0), (4, 6), (5, 14), (7, 44)])
     def test_values(self, n, expected):
         assert bound_theorem1(n) == expected
+
+    def test_numpy_integer_stays_exact(self):
+        # np.int64 arithmetic wrapped to a negative bound here
+        assert bound_theorem1(np.int64(3_000_000)) == bound_theorem1(3_000_000) == 4499997749999500000
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_non_integer_rejected(self, n):
+        with pytest.raises(InputError, match=f"n must be an integer, got {n!r}"):
+            bound_theorem1(n)
 
     def test_parity_dispatch(self):
         assert bound_theorem1(6) == (2 * 216 - 3 * 36 - 12) // 12

@@ -24,7 +24,7 @@ from totirr import (
 from totirr.formats import graph_from_bits, triangle_mask
 from totirr.search import graph_from_code
 
-from conftest import edges, labeled_graphs, random_graph
+from conftest import edges, labeled_graphs, random_graph, traced_peak
 
 
 class TestGraph6Parse:
@@ -168,6 +168,14 @@ class TestGraph6RoundTrip:
         s = emit_graph6(g)
         assert len(s) == 4 + 4096 * 4095 // 12
         assert parse_graph6(s) == g
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_emit_memory_is_the_gather(self, n):
+        # the k-byte gather of the triangle plus its k/8 packed bytes; a
+        # zero k-entry bit buffer to pad the groups read 2k
+        g, k = gen_complete(n), n * (n - 1) // 2
+        triangle_mask(n)
+        assert traced_peak(lambda: emit_graph6(g)) <= 1.5 * k
 
     def test_agrees_with_networkx(self, rng):
         for _ in range(40):

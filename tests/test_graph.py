@@ -239,8 +239,16 @@ class TestFamilies:
     def test_multipartite_bad_input(self):
         with pytest.raises(InputError):
             gen_complete_multipartite([])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="part sizes must be >= 1, got 0"):
             gen_complete_multipartite([2, 0])
+
+    @pytest.mark.parametrize("parts", [[2.5], [2, 3.0], ["2"]])
+    def test_multipartite_non_integer_part_rejected(self, parts):
+        with pytest.raises(InputError, match=f"part size {parts[-1]!r} is not an integer"):
+            gen_complete_multipartite(parts)
+
+    def test_multipartite_numpy_parts(self):
+        assert gen_complete_multipartite(np.array([2, 3])) == gen_complete_multipartite([2, 3])
 
 
 def extremal_from_edges(n):

@@ -6,17 +6,16 @@ from totirr import (
     Graph,
     ProductKind,
     apply_product,
-    corona,
     gen_complete,
     gen_cycle,
     gen_empty,
+    gen_extremal_total_irr,
     gen_path,
     graph_total_irregularity,
-    join,
 )
 from totirr.products import KRONECKER_TERMS
 
-from conftest import product_degrees, random_graph
+from conftest import product_degrees, random_graph, traced_peak
 
 K1 = gen_empty(1)
 
@@ -93,10 +92,10 @@ def test_edge_count_identities(rng):
         g = random_graph(rng.randint(1, 6), rng)
         h = random_graph(rng.randint(1, 6), rng)
         n1, m1, n2, m2 = g.n, g.m, h.n, h.m
-        assert join(g, h).m == m1 + m2 + n1 * n2
+        assert apply_product(ProductKind.JOIN, g, h).m == m1 + m2 + n1 * n2
         assert apply_product(ProductKind.DIRECT, g, h).m == 2 * m1 * m2
         assert apply_product(ProductKind.STRONG, g, h).m == m1 * n2 + m2 * n1 + 2 * m1 * m2
-        assert corona(g, h).m == m1 + n1 * m2 + n1 * n2
+        assert apply_product(ProductKind.CORONA, g, h).m == m1 + n1 * m2 + n1 * n2
 
 
 def test_strong_is_disjoint_union_of_cartesian_and_direct(rng):
@@ -135,17 +134,33 @@ def test_regular_operands_give_regular_composite(kind):
         assert graph_total_irregularity(composite) == 0
 
 
+@pytest.mark.parametrize("kind", list(KRONECKER_TERMS))
+def test_builder_memory_is_one_term(kind):
+    """apply_product's peak in composite matrices (N^2 bytes): the output
+    and one np.kron term, then Graph's copy; a large operand's I or J
+    factor adds one more.  Building every factor of both operands up
+    front, or keeping the last term alive through Graph's copy, reads 3
+    and 5."""
+    big = gen_extremal_total_irr(1024)
+    for g, h, limit in [
+        (gen_extremal_total_irr(32), gen_path(32), 2.5),
+        (big, K1, 3.5),
+        (K1, big, 3.5),
+    ]:
+        assert traced_peak(lambda: apply_product(kind, g, h)) <= limit * (g.n * h.n) ** 2
+
+
 class TestJoin:
     def test_empty_join_is_bipartite(self):
-        g = join(gen_empty(2), gen_empty(3))
+        g = apply_product(ProductKind.JOIN, gen_empty(2), gen_empty(3))
         assert sorted(g.degrees()) == [2, 2, 2, 3, 3]
         assert graph_total_irregularity(g) == 6
 
     def test_k1_join_k1(self):
-        assert join(K1, K1) == gen_complete(2)
+        assert apply_product(ProductKind.JOIN, K1, K1) == gen_complete(2)
 
     def test_p3_join_k2(self):
-        g = join(gen_path(3), gen_complete(2))
+        g = apply_product(ProductKind.JOIN, gen_path(3), gen_complete(2))
         assert g.degrees() == (3, 4, 3, 4, 4)
         assert graph_total_irregularity(g) == 6
 
@@ -213,17 +228,17 @@ class TestDirect:
 
 class TestCorona:
     def test_k2_corona_k1(self):
-        g = corona(gen_complete(2), K1)
+        g = apply_product(ProductKind.CORONA, gen_complete(2), K1)
         assert g.degrees() == (2, 2, 1, 1)
         assert graph_total_irregularity(g) == 4
 
     def test_k1_corona_empty_is_star(self):
-        g = corona(K1, gen_empty(4))
+        g = apply_product(ProductKind.CORONA, K1, gen_empty(4))
         assert sorted(g.degrees(), reverse=True) == [4, 1, 1, 1, 1]
 
     def test_not_commutative_in_size(self):
-        assert corona(gen_complete(2), gen_complete(3)).n == 8
-        assert corona(gen_complete(3), gen_complete(2)).n == 9
+        assert apply_product(ProductKind.CORONA, gen_complete(2), gen_complete(3)).n == 8
+        assert apply_product(ProductKind.CORONA, gen_complete(3), gen_complete(2)).n == 9
 
 
 class TestDisjunctionSymdiff:

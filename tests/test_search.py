@@ -54,6 +54,14 @@ class TestEnumeration:
         with pytest.raises(InputError, match=f"got n = {n}, code = {code}"):
             graph_from_code(n, code)
 
+    @pytest.mark.parametrize("n,code", [(3, 1.0), (3.0, 1), (3, "1")])
+    def test_non_integer_rejected(self, n, code):
+        with pytest.raises(InputError, match=f"must be integers, got n = {n!r}, code = {code!r}"):
+            graph_from_code(n, code)
+
+    def test_numpy_integers(self):
+        assert graph_from_code(np.int64(3), np.uint8(5)) == graph_from_code(3, 5)
+
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_boundary_codes(self, n):
         assert graph_from_code(n, 0) == gen_empty(n)
