@@ -16,14 +16,13 @@ FalsificationError.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FalsificationError, InputError
+from .errors import FalsificationError, integer
 from .formats import emit_graph6
 from .indices import total_irregularity_rows
 
@@ -71,12 +70,7 @@ class Operands:
 def bound_theorem1(n: int) -> int:
     """Maximum possible total irregularity over all graphs on n vertices:
     (2n^3 - 3n^2 - 2n)/12 for even n, (2n^3 - 3n^2 - 2n + 3)/12 for odd n."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InputError(f"n must be an integer, got {n!r}") from None
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
+    n = integer(n, "n", 1)
     num = 2 * n**3 - 3 * n**2 - 2 * n
     if n % 2 == 1:
         num += 3

@@ -15,7 +15,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .bounds import BoundReport, bound_theorem1, evaluate_bound
-from .errors import Graph6ParseError, InputError, InternalError
+from .errors import Graph6ParseError, InputError, InternalError, integer
 from .families import (
     gen_complete,
     gen_complete_multipartite,
@@ -36,7 +36,7 @@ from .indices import (
     zagreb_m1,
     zagreb_m2,
 )
-from .products import ProductKind, apply_product
+from .products import ProductKind, apply_product, composite_order
 from .search import (
     PROBE_KINDS,
     SearchOutcome,
@@ -205,8 +205,7 @@ def _cmd_op(args, out) -> None:
     kind = ProductKind(args.kind)
     g = _graph6(args.a)
     h = _graph6(args.b)
-    n = {ProductKind.JOIN: g.n + h.n, ProductKind.CORONA: g.n + g.n * h.n}.get(kind, g.n * h.n)
-    check_graph6_size(n)
+    check_graph6_size(composite_order(kind, g.n, h.n))
     print(emit_graph6(apply_product(kind, g, h)), file=out)
 
 
@@ -282,8 +281,8 @@ def _search_record(outcome: SearchOutcome) -> str:
 
 
 def _cmd_search(args, out) -> None:
-    if args.search_task != "probe" and not 1 <= args.workers <= MAX_WORKERS:
-        raise InputError(f"workers must be in [1, {MAX_WORKERS}], got {args.workers}")
+    if args.search_task != "probe":
+        integer(args.workers, "workers", 1, MAX_WORKERS)
     if args.search_task == "theorem1":
         outcome = verify_theorem1(args.n)
     elif args.search_task == "sweep":

@@ -7,25 +7,22 @@ total irregularity on n vertices (matching vs. apex variant by parity).
 from __future__ import annotations
 
 import bisect
-import operator
 import random
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer
 from .graph import Graph, from_edge_list, mirror_lower
 
 
 def gen_empty(n: int) -> Graph:
-    if n < 1:
-        raise InputError(f"empty graph needs n >= 1, got {n}")
+    n = integer(n, "n", 1)
     return Graph(np.zeros((n, n), dtype=bool))
 
 
 def gen_complete(n: int) -> Graph:
-    if n < 1:
-        raise InputError(f"complete graph needs n >= 1, got {n}")
+    n = integer(n, "n", 1)
     adj = np.ones((n, n), dtype=bool)
     np.fill_diagonal(adj, False)
     return Graph(adj)
@@ -33,21 +30,18 @@ def gen_complete(n: int) -> Graph:
 
 def gen_path(l: int) -> Graph:
     """Path on l vertices; gen_path(1) is the single vertex."""
-    if l < 1:
-        raise InputError(f"path needs l >= 1, got {l}")
+    l = integer(l, "l", 1)
     return from_edge_list(l, [(i, i + 1) for i in range(l - 1)])
 
 
 def gen_cycle(k: int) -> Graph:
-    if k < 3:
-        raise InputError(f"cycle needs k >= 3, got {k}")
+    k = integer(k, "k", 3)
     return from_edge_list(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 def gen_star(n: int) -> Graph:
     """Star on n vertices: vertex 0 adjacent to all others."""
-    if n < 1:
-        raise InputError(f"star needs n >= 1, got {n}")
+    n = integer(n, "n", 1)
     return from_edge_list(n, [(0, i) for i in range(1, n)])
 
 
@@ -56,14 +50,9 @@ def gen_complete_multipartite(parts: Sequence[int]) -> Graph:
 
     A vertex in a part of size p has degree n - p.
     """
-    sizes = [operator.index(p) if hasattr(type(p), "__index__") else None for p in parts]
+    sizes = [integer(p, f"parts[{i}]", 1) for i, p in enumerate(parts)]
     if not sizes:
         raise InputError("at least one part is required")
-    for p, size in zip(parts, sizes):
-        if size is None:
-            raise InputError(f"part size {p!r} is not an integer")
-        if size < 1:
-            raise InputError(f"part sizes must be >= 1, got {size}")
     labels = np.repeat(np.arange(len(sizes)), sizes)
     adj = labels[:, None] != labels[None, :]
     return Graph(adj)
@@ -77,8 +66,7 @@ def gen_extremal_total_irr(n: int) -> Graph:
     without the matching, plus an apex adjacent to every top vertex.
     Labels: t_i -> i - 1, b_i -> p + i - 1, apex -> 2p.
     """
-    if n < 2:
-        raise InputError(f"extremal construction needs n >= 2, got {n}")
+    n = integer(n, "n", 2)
     p = n // 2
     adj = np.zeros((n, n), dtype=bool)
     adj[:p, :p] = np.tri(p, k=-1, dtype=bool)  # clique on the top layer
@@ -93,8 +81,7 @@ def gen_random_tree(n: int, seed: int) -> Graph:
 
     Decodes a random Pruefer sequence, empty at n = 2; n = 1 is the unique tree.
     """
-    if n < 1:
-        raise InputError(f"tree needs n >= 1, got {n}")
+    n, seed = integer(n, "n", 1), integer(seed, "seed")
     if n == 1:
         return gen_empty(1)
     rng = random.Random(seed)
@@ -105,13 +92,12 @@ def gen_random_tree(n: int, seed: int) -> Graph:
 def tree_from_pruefer(n: int, seq: Sequence[int]) -> Graph:
     """Standard Pruefer decoding: repeatedly join the smallest leaf, once
     every entry is checked to be an integer in [0, n)."""
+    n = integer(n, "n", 2)
     if len(seq) != n - 2:
         raise InputError(f"Pruefer sequence for n={n} must have length {n - 2}")
     count = [0] * n
-    entries = [operator.index(v) if hasattr(type(v), "__index__") else None for v in seq]
-    for i, v in enumerate(entries):
-        if v is None or not 0 <= v < n:
-            raise InputError(f"Pruefer entry {i} is {seq[i]!r}, not an integer in [0, {n - 1}]")
+    entries = [integer(v, f"seq[{i}]", 0, n - 1) for i, v in enumerate(seq)]
+    for v in entries:
         count[v] += 1
     edges = []
     leaves = sorted(i for i in range(n) if count[i] == 0)

@@ -6,12 +6,11 @@ everywhere (every operation in this package presumes a nonempty vertex set).
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer
 
 
 # side of the square tiles in which _is_symmetric compares a matrix with its
@@ -110,22 +109,20 @@ class Graph:
 def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     """Build a graph from unordered vertex pairs; duplicates collapse.
 
-    Endpoints are taken as integers by operator.index, so a bool is 0 or 1.
-    Raises InputError for anything but a pair of integers, out-of-range
-    endpoints or self-loops, naming the offending pair.
+    Endpoints are taken as integers by errors.integer, so a bool is 0 or 1.
+    Raises InputError for anything but a pair of integers in [0, n) or for
+    a self-loop, naming the offending pair.
     """
-    if n < 1:
-        raise InputError(f"vertex count must be >= 1, got {n}")
+    n = integer(n, "n", 1)
     adj = np.zeros((n, n), dtype=bool)
     for pair in edges:
         try:
-            u, v = map(operator.index, pair)
+            u, v = (integer(x, "endpoint", 0, n - 1) for x in pair)
         except (TypeError, ValueError):
-            raise InputError(f"edge {pair!r} is not a pair of integers") from None
+            # ValueError covers InputError and a pair of the wrong length
+            raise InputError(f"edge {pair!r} is not a pair of integers in [0, {n - 1}]") from None
         if u == v:
             raise InputError(f"self-loop ({u}, {v}) is not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge ({u}, {v}) has an endpoint outside [0, {n - 1}]")
         adj[u, v] = adj[v, u] = True
     return Graph(adj)
 

@@ -24,6 +24,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import InputError
 from .graph import Graph
 
 
@@ -36,6 +37,10 @@ class ProductKind(str, Enum):
     CORONA = "corona"
     DISJUNCTION = "disjunction"
     SYMDIFF = "symdiff"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise InputError(f"unknown product kind {value!r}")
 
 
 # (c, X, Y) for each term c * X (x) Y (Hammack, Imrich & Klavzar, Handbook
@@ -61,6 +66,13 @@ def _factor(adj: np.ndarray, name: str) -> np.ndarray:
     return np.ones(adj.shape, dtype=bool) if name == "J" else adj
 
 
+def composite_order(kind: ProductKind, n1: int, n2: int) -> int:
+    """Vertex count of the composite of an n1-vertex g and an n2-vertex h,
+    the size apply_product allocates."""
+    sizes = {ProductKind.JOIN: n1 + n2, ProductKind.CORONA: n1 + n1 * n2}
+    return sizes.get(ProductKind(kind), n1 * n2)
+
+
 def apply_product(kind: ProductKind, g: Graph, h: Graph) -> Graph:
     """The composite of g and h, the one builder of a composite adjacency.
 
@@ -72,21 +84,18 @@ def apply_product(kind: ProductKind, g: Graph, h: Graph) -> Graph:
     is reached and dropped before the next.
     """
     kind = ProductKind(kind)
-    n1, n2 = g.n, h.n
+    n1, n2, n = g.n, h.n, composite_order(kind, g.n, h.n)
+    adj = (np.ones if kind is ProductKind.JOIN else np.zeros)((n, n), dtype=bool)
     if kind is ProductKind.JOIN:
-        adj = np.ones((n1 + n2, n1 + n2), dtype=bool)
         adj[:n1, :n1] = g.adjacency
         adj[n1:, n1:] = h.adjacency
     elif kind is ProductKind.CORONA:
-        n = n1 + n1 * n2
-        adj = np.zeros((n, n), dtype=bool)
         adj[:n1, :n1] = g.adjacency
         for i in range(n1):
             lo, hi = n1 + i * n2, n1 + (i + 1) * n2
             adj[lo:hi, lo:hi] = h.adjacency
             adj[i, lo:hi] = adj[lo:hi, i] = True
     else:
-        adj = np.zeros((n1 * n2, n1 * n2), dtype=bool)
         for x, y in [(x, y) for c, x, y in KRONECKER_TERMS[kind] if c % 2]:
             adj ^= np.kron(_factor(g.adjacency, x), _factor(h.adjacency, y))
     return Graph(adj)

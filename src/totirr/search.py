@@ -35,7 +35,6 @@ built only for a witness or a falsification.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +42,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import FalsificationError, InputError, InternalError
+from .errors import FalsificationError, InputError, InternalError, integer
 from .bounds import INT64_MAX_PAIR, BoundScan, Operands, bound_theorem1, pair_batches
 from .formats import emit_graph6, graph_from_bits, triangle_mask
 from .families import (
@@ -68,19 +67,16 @@ _BLOCK = 1 << 16
 
 
 def num_labeled_graphs(n: int) -> int:
+    n = integer(n, "n", 1)
     return 1 << (n * (n - 1) // 2)
 
 
 def graph_from_code(n: int, code: int) -> Graph:
     """Decode an enumeration code, 0 <= code < num_labeled_graphs(n),
     into a Graph."""
-    try:
-        n, code = operator.index(n), operator.index(code)
-    except TypeError:
-        raise InputError(f"n and code must be integers, got n = {n!r}, code = {code!r}") from None
+    n = integer(n, "n", 1)
+    code = integer(code, "code", 0, num_labeled_graphs(n) - 1)
     k = n * (n - 1) // 2
-    if n < 1 or not 0 <= code < num_labeled_graphs(n):
-        raise InputError(f"need n >= 1 and 0 <= code < 2^{k}, got n = {n}, code = {code}")
     width = (k + 7) // 8
     bits = np.unpackbits(np.frombuffer(code.to_bytes(width, "big"), dtype=np.uint8))
     return graph_from_bits(n, bits[8 * width - k :])
@@ -190,8 +186,7 @@ def verify_theorem1(n: int) -> SearchOutcome:
     FalsificationError; a witness that does not reproduce the maximum
     raises InternalError.
     """
-    if not 2 <= n <= THEOREM1_MAX_N:
-        raise InputError(f"verify_theorem1 supports 2 <= n <= {THEOREM1_MAX_N}, got {n}")
+    n = integer(n, "n", 2, THEOREM1_MAX_N)
     total = num_labeled_graphs(n)
     # the most significant pair is dropped: only its 0 half is scored.
     # Degrees are below n <= 8, so int8 degrees and irr_t sums are exact
@@ -250,8 +245,7 @@ def sweep_operation_bounds(kind: ProductKind, n1: int, n2: int) -> SearchOutcome
     actual/bound ratio over pairs with positive bound.
     """
     kind = ProductKind(kind)
-    if not (1 <= n1 <= 4 and 1 <= n2 <= 4):
-        raise InputError(f"exhaustive sweeps support n1, n2 in [1, 4], got {n1}, {n2}")
+    n1, n2 = integer(n1, "n1", 1, 4), integer(n2, "n2", 1, 4)
     g, h = _labeled_operands(n1), _labeled_operands(n2)
     scan = BoundScan(kind)
     scan.check_all(g, h)
@@ -302,15 +296,10 @@ def probe_open_problem(
     kind = ProductKind(kind)
     if kind not in PROBE_KINDS:
         raise InputError(f"probe targets disjunction or symdiff, got {kind.value}")
-    if samples < 0:
-        raise InputError(f"samples must be >= 0, got {samples}")
-    if samples > MAX_PROBE_SAMPLES:
-        raise InputError(f"samples must be <= {MAX_PROBE_SAMPLES}, got {samples}")
-    if n1 < 1 or n2 < 1:
-        raise InputError(f"probe requires n1, n2 >= 1, got {n1}, {n2}")
+    samples = integer(samples, "samples", 0, MAX_PROBE_SAMPLES)
+    n1, n2, seed = integer(n1, "n1", 1), integer(n2, "n2", 1), integer(seed, "seed")
     # the batched check then stays in int64
-    if n1 * n2 > INT64_MAX_PAIR:
-        raise InputError(f"probe requires n1*n2 <= {INT64_MAX_PAIR}, got {n1 * n2}")
+    integer(n1 * n2, "n1*n2", 1, INT64_MAX_PAIR)
     rng = random.Random(seed)
     scan = BoundScan(kind)
     g, h = (Operands.of_graphs(_deterministic_battery(n)) for n in (n1, n2))

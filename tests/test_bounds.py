@@ -57,7 +57,7 @@ class TestTheorem1Formula:
 
     @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
     def test_non_integer_rejected(self, n):
-        with pytest.raises(InputError, match=f"n must be an integer, got {n!r}"):
+        with pytest.raises(InputError, match=f"^n must be an integer >= 1, got {n!r}$"):
             bound_theorem1(n)
 
     def test_parity_dispatch(self):

@@ -358,17 +358,17 @@ INPUT_ERRORS = [
     (["compute", "--format", "edgelist"], "n 0\n", "vertex count must be >= 1, got 0 (line 1)"),
     (["compute", "--indices", ","], "", "no indices requested"),
     (["gen", "multipartite"], "", "multipartite needs at least one part size"),
-    (["gen", "empty", "0"], "", "empty graph needs n >= 1, got 0"),
-    (["gen", "complete", "-2"], "", "complete graph needs n >= 1, got -2"),
-    (["gen", "path", "0"], "", "path needs l >= 1, got 0"),
-    (["gen", "star", "0"], "", "star needs n >= 1, got 0"),
-    (["gen", "tree", "0"], "", "tree needs n >= 1, got 0"),
+    (["gen", "empty", "0"], "", "n must be an integer >= 1, got 0"),
+    (["gen", "complete", "-2"], "", "n must be an integer >= 1, got -2"),
+    (["gen", "path", "0"], "", "l must be an integer >= 1, got 0"),
+    (["gen", "star", "0"], "", "n must be an integer >= 1, got 0"),
+    (["gen", "tree", "0"], "", "n must be an integer >= 1, got 0"),
     (
         ["search", "probe", "--op", "symdiff", "--n1", "4", "--n2", "4", "--samples", "-1", "--seed", "1"],
         "",
-        "samples must be >= 0, got -1",
+        "samples must be an integer in [0, 10000000], got -1",
     ),
-    (["bound", "theorem1", "--n", "0"], "", "need n >= 1, got 0"),
+    (["bound", "theorem1", "--n", "0"], "", "n must be an integer >= 1, got 0"),
     (["bound", "join", "A_", "A_", "--n", "5"], "", "bound join does not take --n (theorem1 only)"),
     (
         ["bound", "theorem1", "A_", "A_", "--n", "3"],
@@ -441,14 +441,14 @@ def test_workers_checked_before_other_arguments_and_any_scan(argv, workers, monk
     monkeypatch.setattr(totirr.search, "_bit_degrees", no_scan)
     code, text = run_cli(*argv, "--workers", workers)
     assert code == 1 and text == ""
-    assert capsys.readouterr().err == f"error: workers must be in [1, 256], got {workers}\n"
+    assert capsys.readouterr().err == f"error: workers must be an integer in [1, 256], got {workers}\n"
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["--n", "1"], "verify_theorem1 supports 2 <= n <= 8, got 1"),
-        (["--n", "9"], "verify_theorem1 supports 2 <= n <= 8, got 9"),
+        (["--n", "1"], "n must be an integer in [2, 8], got 1"),
+        (["--n", "9"], "n must be an integer in [2, 8], got 9"),
     ],
     ids=["n1", "n9"],
 )
@@ -503,16 +503,24 @@ def test_probe_sample_cap(monkeypatch, capsys):
         "--samples", samples, "--seed", "0",
     )
     assert code == 1 and text == ""
-    assert capsys.readouterr().err == f"error: samples must be <= 10000000, got {samples}\n"
+    assert capsys.readouterr().err == f"error: samples must be an integer in [0, 10000000], got {samples}\n"
 
 
-@pytest.mark.parametrize("n1,n2", [("-100", "-100"), ("0", "4097"), ("4", "0")])
-def test_probe_rejects_sizes_below_one(n1, n2, capsys):
+@pytest.mark.parametrize(
+    "n1,n2,message",
+    [
+        ("-100", "-100", "n1 must be an integer >= 1, got -100"),
+        ("0", "4097", "n1 must be an integer >= 1, got 0"),
+        ("4", "0", "n2 must be an integer >= 1, got 0"),
+    ],
+    ids=["-100--100", "0-4097", "4-0"],
+)
+def test_probe_rejects_sizes_below_one(n1, n2, message, capsys):
     code, text = run_cli(
         "search", "probe", "--op", "symdiff", "--n1", n1, "--n2", n2, "--samples", "1", "--seed", "0",
     )
     assert code == 1 and text == ""
-    assert capsys.readouterr().err == f"error: probe requires n1, n2 >= 1, got {n1}, {n2}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 @pytest.mark.parametrize("n", ["4", "4096"], ids=["flushed-at-end", "written-in-command"])
 def test_closed_stdout_exits_1_without_traceback(n):

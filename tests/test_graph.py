@@ -239,13 +239,14 @@ class TestFamilies:
     def test_multipartite_bad_input(self):
         with pytest.raises(InputError):
             gen_complete_multipartite([])
-        with pytest.raises(InputError, match="part sizes must be >= 1, got 0"):
+        with pytest.raises(InputError, match=r"^parts\[1\] must be an integer >= 1, got 0$"):
             gen_complete_multipartite([2, 0])
 
     @pytest.mark.parametrize("parts", [[2.5], [2, 3.0], ["2"]])
     def test_multipartite_non_integer_part_rejected(self, parts):
-        with pytest.raises(InputError, match=f"part size {parts[-1]!r} is not an integer"):
+        with pytest.raises(InputError) as exc:
             gen_complete_multipartite(parts)
+        assert str(exc.value) == f"parts[{len(parts) - 1}] must be an integer >= 1, got {parts[-1]!r}"
 
     def test_multipartite_numpy_parts(self):
         assert gen_complete_multipartite(np.array([2, 3])) == gen_complete_multipartite([2, 3])
@@ -314,9 +315,9 @@ class TestRandomTree:
     @pytest.mark.parametrize(
         "seq,message",
         [
-            ([7, 0, 0], "Pruefer entry 0 is 7, not an integer in [0, 4]"),
-            ([0, 1.5, 0], "Pruefer entry 1 is 1.5, not an integer in [0, 4]"),
-            ([0, 0, -1], "Pruefer entry 2 is -1, not an integer in [0, 4]"),
+            ([7, 0, 0], "seq[0] must be an integer in [0, 4], got 7"),
+            ([0, 1.5, 0], "seq[1] must be an integer in [0, 4], got 1.5"),
+            ([0, 0, -1], "seq[2] must be an integer in [0, 4], got -1"),
         ],
         ids=["too-large", "float", "negative"],
     )

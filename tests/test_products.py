@@ -4,16 +4,21 @@ import pytest
 
 from totirr import (
     Graph,
+    InputError,
     ProductKind,
     apply_product,
+    bounds,
+    evaluate_bound,
     gen_complete,
     gen_cycle,
     gen_empty,
     gen_extremal_total_irr,
     gen_path,
     graph_total_irregularity,
+    probe_open_problem,
+    sweep_operation_bounds,
 )
-from totirr.products import KRONECKER_TERMS
+from totirr.products import KRONECKER_TERMS, composite_order, product_degree_rows
 
 from conftest import product_degrees, random_graph, traced_peak
 
@@ -132,6 +137,31 @@ def test_regular_operands_give_regular_composite(kind):
         composite = apply_product(kind, g, h)
         assert len(set(composite.degrees())) == 1
         assert graph_total_irregularity(composite) == 0
+
+
+@pytest.mark.parametrize("kind", list(ProductKind))
+def test_composite_order_is_the_built_size(kind):
+    for g, h in [(gen_path(3), gen_cycle(5)), (gen_cycle(5), gen_path(3))]:
+        dg, dh = np.array([g.degrees()]), np.array([h.degrees()])
+        n = composite_order(kind, g.n, h.n)
+        assert n == apply_product(kind, g, h).n == product_degree_rows(kind, dg, dh).shape[1]
+
+
+UNKNOWN_KIND_CALLS = {
+    "apply_product": lambda: apply_product("bogus", K1, K1),
+    "product_degree_rows": lambda: product_degree_rows("bogus", np.zeros((1, 1)), np.zeros((1, 1))),
+    "evaluate_bound": lambda: evaluate_bound("bogus", K1, K1),
+    "BoundScan": lambda: bounds.BoundScan("bogus"),
+    "sweep_operation_bounds": lambda: sweep_operation_bounds("bogus", 2, 2),
+    "probe_open_problem": lambda: probe_open_problem("bogus", 3, 3, samples=1, seed=0),
+}
+
+
+@pytest.mark.parametrize("call", UNKNOWN_KIND_CALLS)
+def test_unknown_kind_is_an_input_error(call):
+    with pytest.raises(InputError) as exc:
+        UNKNOWN_KIND_CALLS[call]()
+    assert str(exc.value) == "unknown product kind 'bogus'"
 
 
 @pytest.mark.parametrize("kind", list(KRONECKER_TERMS))

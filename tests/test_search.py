@@ -49,14 +49,34 @@ class TestEnumeration:
         # 2^6 distinct graphs are all the labeled graphs on 4 vertices
         assert len(set(labeled_graphs(4))) == num_labeled_graphs(4) == 64
 
-    @pytest.mark.parametrize("n,code", [(2, 2), (4, 64), (4, 256), (4, -1), (1, 1), (0, 0), (-1, 0)])
-    def test_code_out_of_range(self, n, code):
-        with pytest.raises(InputError, match=f"got n = {n}, code = {code}"):
+    @pytest.mark.parametrize(
+        "n,code,message",
+        [
+            (2, 2, r"code must be an integer in \[0, 1\], got 2"),
+            (4, 64, r"code must be an integer in \[0, 63\], got 64"),
+            (4, 256, r"code must be an integer in \[0, 63\], got 256"),
+            (4, -1, r"code must be an integer in \[0, 63\], got -1"),
+            (1, 1, r"code must be an integer in \[0, 0\], got 1"),
+            (0, 0, "n must be an integer >= 1, got 0"),
+            (-1, 0, "n must be an integer >= 1, got -1"),
+        ],
+        ids=["2-2", "4-64", "4-256", "4--1", "1-1", "0-0", "-1-0"],
+    )
+    def test_code_out_of_range(self, n, code, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
             graph_from_code(n, code)
 
-    @pytest.mark.parametrize("n,code", [(3, 1.0), (3.0, 1), (3, "1")])
-    def test_non_integer_rejected(self, n, code):
-        with pytest.raises(InputError, match=f"must be integers, got n = {n!r}, code = {code!r}"):
+    @pytest.mark.parametrize(
+        "n,code,message",
+        [
+            (3, 1.0, r"code must be an integer in \[0, 7\], got 1.0"),
+            (3.0, 1, "n must be an integer >= 1, got 3.0"),
+            (3, "1", r"code must be an integer in \[0, 7\], got '1'"),
+        ],
+        ids=["3-1.0", "3.0-1", "3-1"],
+    )
+    def test_non_integer_rejected(self, n, code, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
             graph_from_code(n, code)
 
     def test_numpy_integers(self):
@@ -228,7 +248,8 @@ class TestVerifyTheorem1:
 
     @pytest.mark.parametrize(
         "n,message",
-        [(1, "supports 2 <= n <= 8, got 1"), (9, "supports 2 <= n <= 8, got 9")],
+        [(1, r"n must be an integer in \[2, 8\], got 1"), (9, r"n must be an integer in \[2, 8\], got 9")],
+        ids=["n1", "n9"],
     )
     def test_rejects_before_any_scan(self, n, message, monkeypatch):
         def no_scan(*args):
@@ -362,13 +383,14 @@ class TestProbe:
     # no cap, and 0 * 4097 is under it
     @pytest.mark.parametrize("n1,n2", [(-100, -100), (0, 4097), (4, 0), (0, 0)])
     def test_rejects_sizes_below_one(self, n1, n2):
-        with pytest.raises(InputError, match=f"probe requires n1, n2 >= 1, got {n1}, {n2}"):
+        name, value = ("n1", n1) if n1 < 1 else ("n2", n2)
+        with pytest.raises(InputError, match=f"^{name} must be an integer >= 1, got {value}$"):
             probe_open_problem(ProductKind.SYMDIFF, n1, n2, samples=1, seed=0)
 
     def test_sample_cap_checked_before_sampling(self, monkeypatch):
         monkeypatch.setattr(search, "random", types.SimpleNamespace(Random=no_sampling))
         samples = MAX_PROBE_SAMPLES + 1
-        with pytest.raises(InputError, match=f"samples must be <= {MAX_PROBE_SAMPLES}, got {samples}"):
+        with pytest.raises(InputError, match=rf"samples must be an integer in \[0, {MAX_PROBE_SAMPLES}\], got {samples}"):
             probe_open_problem(ProductKind.SYMDIFF, 4, 4, samples=samples, seed=0)
 
 
