@@ -10,9 +10,10 @@ any bound falsification), 130 interrupted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .bounds import BoundReport, bound_theorem1, evaluate_bound
 from .errors import Graph6ParseError, InputError, InternalError, integer
@@ -138,18 +139,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from None
-    # a non-ASCII byte decodes to a lone surrogate at its byte offset, so
-    # the parsers reject it as an input error
-    return data.decode("ascii", "surrogateescape")
+def _input_lines(path: str) -> Iterator[str]:
+    """The lines of the input file, or of stdin for '-', read one at a
+    time, each ended by "\n" alone and given without it."""
+    try:
+        with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
+            for line in fh:
+                # a non-ASCII byte decodes to a lone surrogate at its byte
+                # offset, so the parsers reject it as an input error
+                yield line.rstrip(b"\n").decode("ascii", "surrogateescape")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _graph6(text: str) -> Graph:
@@ -162,15 +162,6 @@ def _graph6(text: str) -> Graph:
         raise Graph6ParseError(exc.message, lead + exc.offset) from None
 
 
-def _load_graphs(text: str, fmt: str) -> List[Graph]:
-    if fmt == "edgelist":
-        return [parse_edge_list(text)]
-    graphs = [_graph6(line) for line in text.split("\n") if line.strip(BLANKS)]
-    if not graphs:
-        raise InputError("no graphs in input")
-    return graphs
-
-
 def _cmd_compute(args, out) -> None:
     names = [name.strip(BLANKS) for name in args.indices.split(",") if name.strip(BLANKS)]
     for name in names:
@@ -178,16 +169,23 @@ def _cmd_compute(args, out) -> None:
             raise InputError(f"unknown index {name!r}; choose from {','.join(INDEX_FUNCS)}")
     if not names:
         raise InputError("no indices requested")
-    for g in _load_graphs(_read_input(args.input), args.format):
-        g6 = emit_graph6(g)
-        for name in names:
-            value = INDEX_FUNCS[name](g)
-            print(
-                format_record(
-                    [("task", "compute"), ("input", g6), ("index", name), ("value", value)]
-                ),
-                file=out,
-            )
+
+    def score(g: Graph) -> Tuple[str, list]:
+        return emit_graph6(g), [INDEX_FUNCS[name](g) for name in names]
+
+    # each line is read, parsed, encoded and scored in turn, and only its
+    # input= string and values are kept: one graph is alive at a time, and
+    # a bad line later on still leaves stdout empty
+    lines = _input_lines(args.input)
+    if args.format == "edgelist":
+        results = [score(parse_edge_list("\n".join(lines)))]
+    else:
+        results = [score(_graph6(line)) for line in lines if line.strip(BLANKS)]
+    if not results:
+        raise InputError("no graphs in input")
+    for g6, values in results:
+        for name, value in zip(names, values):
+            print(format_record([("task", "compute"), ("input", g6), ("index", name), ("value", value)]), file=out)
 
 
 def _cmd_gen(args, out) -> None:

@@ -31,6 +31,17 @@ class EdgeListParseError(InputError):
         self.line = line
 
 
+# an int in a message past this many digits is shown by its bit length:
+# Python 3.11+ refuses str() of an int past 4300 digits, and a long one
+# buries the message
+_SHOWN_DIGITS = 30
+
+
+def _show(k: int) -> str:
+    """k in decimal, or as `<b-bit integer>` past _SHOWN_DIGITS digits."""
+    return str(k) if abs(k) < 10**_SHOWN_DIGITS else f"{'-' * (k < 0)}<{k.bit_length()}-bit integer>"
+
+
 def integer(value, name: str, low: Optional[int] = None, high: Optional[int] = None) -> int:
     """`value` as an int, through operator.index, so numpy integers and
     bools pass as the ints they equal.  Anything else, or an int outside
@@ -43,12 +54,12 @@ def integer(value, name: str, low: Optional[int] = None, high: Optional[int] = N
     if n is not None and (low is None or low <= n) and (high is None or n <= high):
         return n
     if low is not None and high is not None:
-        where = f" in [{low}, {high}]"
+        where = f" in [{_show(low)}, {_show(high)}]"
     elif low is not None:
-        where = f" >= {low}"
+        where = f" >= {_show(low)}"
     else:
-        where = "" if high is None else f" <= {high}"
-    raise InputError(f"{name} must be an integer{where}, got {value if n is None else n!r}")
+        where = "" if high is None else f" <= {_show(high)}"
+    raise InputError(f"{name} must be an integer{where}, got {repr(value) if n is None else _show(n)}")
 
 
 class InternalError(RuntimeError):

@@ -12,20 +12,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, integer
-from .graph import Graph, from_edge_list, mirror_lower
+from .errors import InputError, _show, integer
+from .graph import Graph, _from_lower, from_edge_list
 
 
 def gen_empty(n: int) -> Graph:
     n = integer(n, "n", 1)
-    return Graph(np.zeros((n, n), dtype=bool))
+    return _from_lower(np.zeros((n, n), dtype=bool))
 
 
 def gen_complete(n: int) -> Graph:
     n = integer(n, "n", 1)
-    adj = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(adj, False)
-    return Graph(adj)
+    return _from_lower(np.tri(n, k=-1, dtype=bool))
 
 
 def gen_path(l: int) -> Graph:
@@ -54,8 +52,8 @@ def gen_complete_multipartite(parts: Sequence[int]) -> Graph:
     if not sizes:
         raise InputError("at least one part is required")
     labels = np.repeat(np.arange(len(sizes)), sizes)
-    adj = labels[:, None] != labels[None, :]
-    return Graph(adj)
+    # the labels ascend, so a later part's vertex sits below the diagonal
+    return _from_lower(labels[:, None] > labels[None, :])
 
 
 def gen_extremal_total_irr(n: int) -> Graph:
@@ -73,7 +71,7 @@ def gen_extremal_total_irr(n: int) -> Graph:
     # b_j ~ t_i for i < j; the diagonal is the matching, kept for even n
     adj[p : 2 * p, :p] = np.tri(p, k=-(n % 2), dtype=bool)
     adj[2 * p :, :p] = True  # the apex row; empty for even n
-    return Graph(mirror_lower(adj))
+    return _from_lower(adj)
 
 
 def gen_random_tree(n: int, seed: int) -> Graph:
@@ -94,7 +92,7 @@ def tree_from_pruefer(n: int, seq: Sequence[int]) -> Graph:
     every entry is checked to be an integer in [0, n)."""
     n = integer(n, "n", 2)
     if len(seq) != n - 2:
-        raise InputError(f"Pruefer sequence for n={n} must have length {n - 2}")
+        raise InputError(f"Pruefer sequence for n={_show(n)} must have length {_show(n - 2)}")
     count = [0] * n
     entries = [integer(v, f"seq[{i}]", 0, n - 1) for i, v in enumerate(seq)]
     for v in entries:

@@ -24,8 +24,8 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import EdgeListParseError, Graph6ParseError, InputError
-from .graph import Graph, from_edge_list, mirror_lower
+from .errors import EdgeListParseError, Graph6ParseError, InputError, _show, integer
+from .graph import Graph, _from_lower, from_edge_list
 
 MAX_GRAPH6_N = 4096
 # the bytes a text input may have around a graph6 string or an edge-list
@@ -46,10 +46,11 @@ def triangle_mask(n: int) -> np.ndarray:
 def graph_from_bits(n: int, bits: Union[Sequence[int], np.ndarray]) -> Graph:
     """The graph on n vertices whose n(n-1)/2 upper-triangle adjacency
     bits, in graph6 order, are `bits` (0/1 or booleans): scattered into
-    the strict lower triangle, then mirrored by `graph.mirror_lower`."""
+    the strict lower triangle, which `graph._from_lower` completes."""
+    n = integer(n, "n", 1)
     adj = np.zeros((n, n), dtype=bool)
     adj[triangle_mask(n)] = np.asarray(bits, dtype=bool)
-    return Graph(mirror_lower(adj))
+    return _from_lower(adj)
 
 
 def _sextets_to_bytes(sextets: np.ndarray) -> np.ndarray:
@@ -126,7 +127,7 @@ def check_graph6_size(n: int) -> None:
     """Reject a vertex count too large for graph6 output; callers check
     before building a graph they would emit."""
     if n > MAX_GRAPH6_N:
-        raise InputError(f"graph6 output supports n <= {MAX_GRAPH6_N}, got {n}")
+        raise InputError(f"graph6 output supports n <= {MAX_GRAPH6_N}, got {_show(n)}")
 
 
 def emit_graph6(g: Graph) -> str:

@@ -2,6 +2,11 @@
 
 The adjacency matrix is a read-only boolean numpy array; n = 0 is rejected
 everywhere (every operation in this package presumes a nonempty vertex set).
+Graph() copies and checks the adjacency it is given: one from outside the
+package, a product's (whose XOR of Kronecker terms writes both triangles)
+or an unpickled one.  Every other builder writes the strict lower
+triangle of a new matrix and hands it to _from_lower, which completes it
+and keeps it with no copy and no check.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from .errors import InputError, integer
 
 
 # side of the square tiles in which _is_symmetric compares a matrix with its
-# transpose and mirror_lower completes one from its lower triangle: a tile
+# transpose and _from_lower completes a builder's lower triangle: a tile
 # and its mirror stay in cache, where a whole-matrix transpose of a large
 # graph is a strided pass through memory.  The edge indices in `indices`
 # pass the adjacency in row tiles of the same height.
@@ -33,15 +38,6 @@ def _tile_pairs(n: int) -> Iterator[Tuple[slice, slice]]:
 def _is_symmetric(adj: np.ndarray) -> bool:
     """adj == adj.T, compared tile by tile; one tile is one comparison."""
     return all(np.array_equal(adj[r, c], adj[c, r].T) for r, c in _tile_pairs(adj.shape[0]))
-
-
-def mirror_lower(adj: np.ndarray) -> np.ndarray:
-    """Complete a square boolean matrix whose strict upper triangle is
-    empty into a symmetric one, in place: each tile on or above the
-    diagonal is ORed with its mirror's transpose.  Returns adj."""
-    for r, c in _tile_pairs(adj.shape[0]):
-        adj[r, c] |= adj[c, r].T
-    return adj
 
 
 class Graph:
@@ -65,10 +61,17 @@ class Graph:
             raise InputError(f"self-loop at vertex {bad}")
         if not _is_symmetric(adj):
             raise InputError("adjacency is not symmetric")
+        self._own(adj)
+
+    def _own(self, adj: np.ndarray) -> Graph:
+        """Keep adj, a symmetric adjacency with an empty diagonal that no
+        one else writes, as this graph's read-only adjacency, count its
+        degrees, and return self."""
         adj.setflags(write=False)
         self._adj = adj
         self._degrees = tuple(adj.sum(axis=1).tolist())
         self._m = sum(self._degrees) // 2
+        return self
 
     @property
     def n(self) -> int:
@@ -106,6 +109,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _from_lower(lower: np.ndarray) -> Graph:
+    """The graph whose adjacency is `lower` completed: a new square boolean
+    matrix, n >= 1, with nothing on or above its diagonal, that the caller
+    hands over.  Each tile on or above the diagonal is ORed with its
+    mirror's transpose in place, and the graph keeps the result read-only,
+    with no copy and no symmetry check.  Every builder in the package that
+    writes one triangle ends here; Graph() copies and checks the rest."""
+    for r, c in _tile_pairs(lower.shape[0]):
+        lower[r, c] |= lower[c, r].T
+    return Graph.__new__(Graph)._own(lower)
+
+
 def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     """Build a graph from unordered vertex pairs; duplicates collapse.
 
@@ -123,8 +138,8 @@ def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
             raise InputError(f"edge {pair!r} is not a pair of integers in [0, {n - 1}]") from None
         if u == v:
             raise InputError(f"self-loop ({u}, {v}) is not allowed")
-        adj[u, v] = adj[v, u] = True
-    return Graph(adj)
+        adj[(u, v) if u > v else (v, u)] = True  # the lower triangle
+    return _from_lower(adj)
 
 
 def complement(g: Graph) -> Graph:
@@ -133,9 +148,8 @@ def complement(g: Graph) -> Graph:
     Vertexwise the degrees satisfy d'(u) = n - 1 - d(u), so the total
     irregularity is preserved.
     """
-    adj = ~g.adjacency
-    np.fill_diagonal(adj, False)
-    return Graph(adj)
+    tri = np.tri(g.n, k=-1, dtype=bool)
+    return _from_lower(np.greater(tri, g.adjacency, out=tri))
 
 
 def is_connected(g: Graph) -> bool:

@@ -26,6 +26,7 @@ from totirr import (
 )
 from totirr.errors import integer
 from totirr.families import tree_from_pruefer
+from totirr.formats import check_graph6_size, graph_from_bits
 
 
 def probe(n1=4, n2=4, samples=1000, seed=1729):
@@ -38,6 +39,7 @@ ARGUMENTS = {
     # 12 is past int64: the count is 2^66
     "num_labeled_graphs.n": (num_labeled_graphs, 12, "n must be an integer"),
     "graph_from_code.n": (lambda v: graph_from_code(v, 5), 3, "n must be an integer"),
+    "graph_from_bits.n": (lambda v: graph_from_bits(v, [1, 0, 1]), 3, "n must be an integer"),
     "graph_from_code.code": (lambda v: graph_from_code(3, v), 5, "code must be an integer"),
     "verify_theorem1.n": (verify_theorem1, 7, "n must be an integer"),
     "sweep.n1": (lambda v: sweep_operation_bounds(ProductKind.JOIN, v, 2), 3, "n1 must be an integer"),
@@ -102,3 +104,44 @@ def test_message_names_the_argument_and_its_range(low, high, value, message):
 def test_integers_pass_as_python_ints(value, expected):
     result = integer(value, "x", 0)
     assert result == expected and type(result) is int
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integer(10**5000, "n", 2, 8),
+        lambda: verify_theorem1(10**5000),
+        lambda: gen_empty(-(10**5000)),
+        # the code's upper bound, 2^14365 - 1, is past 4300 digits itself
+        lambda: graph_from_code(170, -1),
+        # and here it has 1490
+        lambda: graph_from_code(100, -1),
+        lambda: check_graph6_size(10**5000),
+        lambda: tree_from_pruefer(10**5000, []),
+    ],
+    ids=[
+        "integer",
+        "verify_theorem1",
+        "gen_empty",
+        "graph_from_code-170",
+        "graph_from_code-100",
+        "check_graph6_size",
+        "tree_from_pruefer",
+    ],
+)
+def test_long_integers_are_shown_by_bit_length(call):
+    # past 4300 digits, Python 3.11+ refuses str() of an int with its own ValueError
+    with pytest.raises(InputError) as exc:
+        call()
+    assert len(str(exc.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "value,shown",
+    [(10**29, str(10**29)), (-(10**29), str(-(10**29))), (10**30, "<100-bit integer>"), (-(2**200), "-<201-bit integer>")],
+    ids=["29-digits", "minus-29-digits", "30-digits", "minus-2^200"],
+)
+def test_integers_past_30_digits_are_shown_by_bit_length(value, shown):
+    with pytest.raises(InputError) as exc:
+        integer(value, "x", 0, 1)
+    assert str(exc.value) == f"x must be an integer in [0, 1], got {shown}"

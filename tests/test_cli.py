@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 import types
@@ -24,7 +25,7 @@ from totirr import (
 )
 from totirr.cli import cli_main
 
-from conftest import stdin_of
+from conftest import random_graph, stdin_of, traced_peak
 
 
 def run_cli(*argv):
@@ -62,6 +63,29 @@ def test_compute_multiple_graphs_and_indices(tmp_path):
     assert len(lines) == 4
     values = [parse_record(line)["value"] for line in lines]
     assert values == ["4", "10", "0", "12"]
+
+
+def test_compute_holds_one_graph_at_a_time(tmp_path):
+    # each line is parsed, encoded and scored in turn, so six more lines of
+    # a dense 1024-vertex graph add two small graph6 strings each, not a
+    # 1 MiB adjacency each, to the peak
+    n = 1024
+    g6 = emit_graph6(random_graph(n, random.Random(7)))
+    peaks = {}
+    for lines in (2, 8):
+        path = tmp_path / f"{lines}.g6"
+        path.write_text((g6 + "\n") * lines)
+        out = io.StringIO()
+        peaks[lines] = traced_peak(lambda: cli_main(["compute", "--input", str(path), "--indices", "irr_t"], out=out))
+        assert out.getvalue().count("\n") == lines
+    assert peaks[8] - peaks[2] < 2 * n * n
+
+
+def test_compute_malformed_last_line_leaves_stdout_empty(tmp_path, capsys):
+    path = tmp_path / "graphs.g6"
+    path.write_text(emit_graph6(gen_path(4)) + "\n" + emit_graph6(gen_cycle(3)) + "\nC~~\n")
+    assert run_cli("compute", "--input", str(path), "--indices", "irr_t,m1") == (1, "")
+    assert capsys.readouterr().err == "error: trailing bytes after payload (byte offset 2)\n"
 
 
 def test_compute_edgelist(tmp_path):
@@ -300,6 +324,20 @@ def test_theorem1_bound_past_the_int_print_limit(capsys):
         else:
             assert n <= lo or not INT_PRINT_LIMIT
             assert (code, text) == (0, f"task=bound kind=theorem1 n={n} bound={bound_theorem1(n)}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["search", "theorem1", "--n", "9" * 2000], "n must be an integer in [2, 8], got <6644-bit integer>"),
+        # two 4300-digit parts, each one Python 3.11+ still reads, sum to 4301 digits
+        (["gen", "multipartite", "9" * 4300, "9" * 4300], "graph6 output supports n <= 4096, got <14286-bit integer>"),
+    ],
+    ids=["theorem1", "multipartite"],
+)
+def test_long_integers_in_errors_are_shown_by_bit_length(argv, message, capsys):
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 STDIN_SEPARATORS = ["\n", "\r\n", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]

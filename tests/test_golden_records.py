@@ -25,8 +25,10 @@ operand and checked one pair at a time; the row-batched scan must
 reproduce them exactly.  The theorem1 records were captured from the
 int64 row-sort scan; the int16 sorting-network scan must reproduce them.
 The gen and op records were captured while the extremal graph was still
-completed with a whole-matrix transpose and graph_from_bits kept its own
-mirror loop; graph.mirror_lower must reproduce them.  The op records,
+completed with a whole-matrix transpose, graph_from_bits kept its own
+mirror loop, and every builder ended in the copying, checking Graph()
+constructor; graph._from_lower, which completes each builder's lower
+triangle with no copy and no check, must reproduce them.  The op records,
 the cap ones included, were also captured from the per-kind product
 functions, each a bool np.kron formula of its own; the one signed
 Kronecker term table (products.KRONECKER_TERMS) must reproduce them.

@@ -1,4 +1,5 @@
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -18,10 +19,13 @@ from totirr import (
     gen_path,
     gen_random_tree,
     gen_star,
+    graph_from_code,
     graph_total_irregularity,
     is_connected,
+    parse_edge_list,
 )
 from totirr.families import tree_from_pruefer
+from totirr.formats import graph_from_bits
 
 from conftest import disjoint_union, random_graph
 
@@ -148,6 +152,76 @@ class TestConstruction:
         assert all(0 <= d <= n - 1 for d in degs)
         assert not g.adjacency.diagonal().any()
         assert np.array_equal(g.adjacency, g.adjacency.T)
+
+
+# the package's builders write one triangle, and graph._from_lower completes
+# it in tiles of SYMMETRY_TILE = 256 and keeps it with no copy and no check;
+# these sizes fall inside one tile, at its edge and across several
+RULE_SIZES = [1, 2, 7, 255, 256, 257, 513]
+
+BUILDERS = {
+    "empty": gen_empty,
+    "complete": gen_complete,
+    "path": gen_path,
+    "cycle": lambda n: gen_cycle(max(n, 3)),
+    "star": gen_star,
+    "multipartite": lambda n: gen_complete_multipartite([p for p in (1, n // 3, n - 1 - n // 3) if p]),
+    "multipartite-one-part": lambda n: gen_complete_multipartite([n]),
+    "extremal": lambda n: gen_extremal_total_irr(max(n, 2)),
+    "tree": lambda n: gen_random_tree(n, n),
+    "from_bits": lambda n: graph_from_bits(n, np.random.default_rng(n).integers(0, 2, n * (n - 1) // 2)),
+    "from_code": lambda n: graph_from_code(n, random.Random(n).getrandbits(n * (n - 1) // 2)),
+    "from_edge_list": lambda n: from_edge_list(n, random_edges(n)),
+    "parse_edge_list": lambda n: parse_edge_list(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in random_edges(n))),
+    "complement": lambda n: complement(random_graph(n, random.Random(n))),
+    "complement-of-empty": lambda n: complement(gen_empty(n)),
+}
+
+
+def random_edges(n):
+    """About 3n seeded random pairs, both orders and repeats included."""
+    rng = random.Random(n)
+    return [(u, v) for u, v in ((rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)) if u != v]
+
+
+class TestConstructionRule:
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_builder_output_passes_the_checked_constructor(self, builder, n):
+        g = BUILDERS[builder](n)
+        checked = Graph(g.adjacency)
+        assert g == checked
+        assert (g.degrees(), g.m) == (checked.degrees(), checked.m)
+        assert g.adjacency.dtype == bool and not g.adjacency.flags.writeable
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gen_empty(0),
+            lambda: gen_complete(0),
+            lambda: gen_path(0),
+            lambda: gen_star(0),
+            lambda: gen_complete_multipartite([0]),
+            lambda: graph_from_bits(0, []),
+            lambda: graph_from_code(0, 0),
+            lambda: from_edge_list(0, []),
+            lambda: parse_edge_list("n 0\n"),
+        ],
+        ids=["empty", "complete", "path", "star", "multipartite", "from_bits", "from_code", "from_edge_list", "parse_edge_list"],
+    )
+    def test_no_builder_makes_a_graph_without_vertices(self, build):
+        # _from_lower takes n >= 1 on trust, so each builder checks it first
+        with pytest.raises(InputError):
+            build()
+
+    def test_checked_constructor_copies(self):
+        adj = np.zeros((3, 3), dtype=bool)
+        adj[0, 1] = adj[1, 0] = True
+        before = adj.copy()
+        g = Graph(adj)
+        assert adj.flags.writeable and np.array_equal(adj, before)
+        adj[1, 2] = adj[2, 1] = True
+        assert g.m == 1 and not g.adjacency[1, 2]
 
 
 class TestComplement:
