@@ -7,6 +7,7 @@ argument.
 """
 
 import operator
+import reprlib
 from typing import Optional
 
 
@@ -33,13 +34,35 @@ class EdgeListParseError(InputError):
 
 # an int in a message past this many digits is shown by its bit length:
 # Python 3.11+ refuses str() of an int past 4300 digits, and a long one
-# buries the message
+# buries the message; any value's text is cut to _SHOWN_CHARS characters
 _SHOWN_DIGITS = 30
+_SHOWN_CHARS = 60
 
 
-def _show(k: int) -> str:
-    """k in decimal, or as `<b-bit integer>` past _SHOWN_DIGITS digits."""
-    return str(k) if abs(k) < 10**_SHOWN_DIGITS else f"{'-' * (k < 0)}<{k.bit_length()}-bit integer>"
+class _Shown(reprlib.Repr):
+    """reprlib's size-limited repr, through no call that can raise: an int
+    by _show's rule, and a value whose own repr raises (a Fraction's does
+    past 4300 digits) by its type's name."""
+
+    def repr_int(self, k, level):
+        return str(k) if abs(k) < 10**_SHOWN_DIGITS else f"{'-' * (k < 0)}<{k.bit_length()}-bit integer>"
+
+    def repr_instance(self, x, level):
+        try:
+            return repr(x)
+        except Exception:
+            return f"<{type(x).__name__}>"
+
+
+_SHOWN = _Shown()
+
+
+def _show(value) -> str:
+    """`value` for a message: an int in decimal, or as `<b-bit integer>`
+    past _SHOWN_DIGITS digits; anything else by _Shown's repr; either cut
+    to _SHOWN_CHARS characters."""
+    text = _SHOWN.repr(value)
+    return text if len(text) <= _SHOWN_CHARS else f"{text[: _SHOWN_CHARS - 3]}..."
 
 
 def integer(value, name: str, low: Optional[int] = None, high: Optional[int] = None) -> int:
@@ -59,7 +82,7 @@ def integer(value, name: str, low: Optional[int] = None, high: Optional[int] = N
         where = f" >= {_show(low)}"
     else:
         where = "" if high is None else f" <= {_show(high)}"
-    raise InputError(f"{name} must be an integer{where}, got {repr(value) if n is None else _show(n)}")
+    raise InputError(f"{name} must be an integer{where}, got {_show(value if n is None else n)}")
 
 
 class InternalError(RuntimeError):

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import EdgeListParseError, Graph6ParseError, InputError, _show, integer
-from .graph import Graph, _from_lower, from_edge_list
+from .errors import _SHOWN_DIGITS, EdgeListParseError, Graph6ParseError, InputError, _show, integer
+from .graph import Graph, _from_lower
 
 MAX_GRAPH6_N = 4096
 # the bytes a text input may have around a graph6 string or an edge-list
@@ -153,6 +153,14 @@ def _is_decimal(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _decimal(token: str) -> Optional[int]:
+    """A field of ASCII decimal digits as an int, or None past
+    _SHOWN_DIGITS significant digits: far out of every range here, and
+    never read, as int() of one past 4300 digits raises on Python 3.11+."""
+    digits = token.lstrip("0")
+    return int(digits or "0") if len(digits) <= _SHOWN_DIGITS else None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
@@ -160,41 +168,47 @@ def parse_edge_list(text: str) -> Graph:
     per line, all numbers in ASCII decimal digits; '#' comments and blank
     lines are ignored.  A line ends at "\n", fields are separated by spaces
     and tabs, and BLANKS around a line are ignored; any other byte is part
-    of a field.  Errors carry 1-based line numbers.
+    of a field.  Errors carry 1-based line numbers.  Each edge is checked
+    once and written into the strict lower triangle, which
+    `graph._from_lower` completes.
     """
-    n = None
-    edges: List[Tuple[int, int]] = []
+    adj = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip(BLANKS)
         if not line:
             continue
         tokens = [t for t in line.replace("\t", " ").split(" ") if t]
-        if n is None:
+        if adj is None:
             if len(tokens) != 2 or tokens[0] != "n":
                 raise EdgeListParseError(f"expected header 'n <count>', got {raw.strip(BLANKS)!r}", lineno)
             if not _is_decimal(tokens[1]):
                 raise EdgeListParseError(f"bad vertex count {tokens[1]!r}", lineno)
-            n = int(tokens[1])
+            n = _decimal(tokens[1])
+            if n is None:
+                raise EdgeListParseError(
+                    f"vertex count of {len(tokens[1])} digits exceeds supported maximum {MAX_GRAPH6_N}", lineno
+                )
             if n < 1:
                 raise EdgeListParseError(f"vertex count must be >= 1, got {n}", lineno)
             if n > MAX_GRAPH6_N:
                 raise EdgeListParseError(
                     f"vertex count {n} exceeds supported maximum {MAX_GRAPH6_N}", lineno
                 )
+            adj = np.zeros((n, n), dtype=bool)
             continue
         if len(tokens) != 2:
             raise EdgeListParseError(f"expected 'u v', got {raw.strip(BLANKS)!r}", lineno)
         if not all(map(_is_decimal, tokens)):
             raise EdgeListParseError(f"non-decimal endpoint in {raw.strip(BLANKS)!r}", lineno)
-        u, v = int(tokens[0]), int(tokens[1])
-        if u == v:
+        u, v = map(_decimal, tokens)
+        if u is not None and u == v:
             raise EdgeListParseError(f"self-loop {u} {v}", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListParseError(f"endpoint outside [0, {n - 1}] in {raw.strip(BLANKS)!r}", lineno)
-        edges.append((u, v))
-    if n is None:
+        if u is None or v is None or max(u, v) >= n:
+            raise EdgeListParseError(f"endpoint outside [0, {n - 1}] in {_show(raw.strip(BLANKS))}", lineno)
+        adj[max(u, v), min(u, v)] = True
+    if adj is None:
         raise EdgeListParseError("missing header line 'n <count>'", 1)
-    return from_edge_list(n, edges)
+    return _from_lower(adj)
 
 
 RecordValue = Union[int, bool, float, str, Fraction, None]

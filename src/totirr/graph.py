@@ -3,10 +3,11 @@
 The adjacency matrix is a read-only boolean numpy array; n = 0 is rejected
 everywhere (every operation in this package presumes a nonempty vertex set).
 Graph() copies and checks the adjacency it is given: one from outside the
-package, a product's (whose XOR of Kronecker terms writes both triangles)
-or an unpickled one.  Every other builder writes the strict lower
-triangle of a new matrix and hands it to _from_lower, which completes it
-and keeps it with no copy and no check.
+package or an unpickled one.  Every builder in the package checks its
+input once and hands a new matrix to _from_lower, which completes it and
+keeps it with no copy and no second check: the families, the complement,
+the graph6 and edge-list readers and from_edge_list write its strict
+lower triangle, and apply_product a symmetric composite.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
-from .errors import InputError, integer
+from .errors import InputError, _show, integer
 
 
 # side of the square tiles in which _is_symmetric compares a matrix with its
@@ -44,7 +45,10 @@ class Graph:
     """A simple undirected graph: symmetric boolean adjacency, empty diagonal.
 
     Instances are immutable after construction and safe to share across
-    threads or processes.
+    threads or processes.  Graph(adjacency) copies the array and checks
+    that it is square, nonempty, loop-free and symmetric: it is for arrays
+    from outside the package and for unpickling; the package's own
+    builders end in _from_lower.
     """
 
     __slots__ = ("_adj", "_m", "_degrees")
@@ -111,11 +115,13 @@ class Graph:
 
 def _from_lower(lower: np.ndarray) -> Graph:
     """The graph whose adjacency is `lower` completed: a new square boolean
-    matrix, n >= 1, with nothing on or above its diagonal, that the caller
-    hands over.  Each tile on or above the diagonal is ORed with its
-    mirror's transpose in place, and the graph keeps the result read-only,
-    with no copy and no symmetry check.  Every builder in the package that
-    writes one triangle ends here; Graph() copies and checks the rest."""
+    matrix, n >= 1, that the caller hands over, with an empty diagonal and
+    nothing above it that is not mirrored below, such as a strict lower
+    triangle or a symmetric matrix.  Each tile on or above the diagonal is
+    ORed with its mirror's transpose in place, which leaves a symmetric
+    one as it is, and the graph keeps the result read-only, with no copy
+    and no symmetry check.  Every builder in the package ends here;
+    Graph() copies and checks arrays from outside it."""
     for r, c in _tile_pairs(lower.shape[0]):
         lower[r, c] |= lower[c, r].T
     return Graph.__new__(Graph)._own(lower)
@@ -135,7 +141,7 @@ def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
             u, v = (integer(x, "endpoint", 0, n - 1) for x in pair)
         except (TypeError, ValueError):
             # ValueError covers InputError and a pair of the wrong length
-            raise InputError(f"edge {pair!r} is not a pair of integers in [0, {n - 1}]") from None
+            raise InputError(f"edge {_show(pair)} is not a pair of integers in [0, {n - 1}]") from None
         if u == v:
             raise InputError(f"self-loop ({u}, {v}) is not allowed")
         adj[(u, v) if u > v else (v, u)] = True  # the lower triangle

@@ -1,34 +1,50 @@
 """Binary graph operations: join, four coordinate products, corona,
 disjunction and symmetric difference.
 
-apply_product is the one builder of a composite's adjacency.  Join and
-corona are its two block branches; corona places g's vertices first,
-followed by the copies of h in order.  All n1*n2-vertex products label the
-composite vertex (u, v) as u * n2 + v, which is exactly the
-Kronecker-product block layout.  Each of the six is a sum of signed
-Kronecker terms c * X (x) Y in KRONECKER_TERMS, with X one of g's
-adjacency A, the identity I or the all-ones J, and Y one of h's B, I or J.
-That sum has 0/1 entries, so the composite is the XOR of the
-odd-coefficient terms' np.krons, with one term alive at a time.  The
-degree rows sum the same terms with each factor replaced by its row sums,
-since X (x) Y has row sum x(u) * y(v) at (u, v): d_g or d_h for A and B, 1
-for I, and n1 or n2 for J.  product_degree_rows gives the composites'
-degree sequences from the operands' degrees alone, one operand pair per
-row; it is the one way to get a composite's degree sequence without
-building the composite.
+apply_product is the one builder of a composite's adjacency, which is
+symmetric with an empty diagonal by construction, so it ends in
+graph._from_lower with no copy and no check.  Join and corona are its two
+block branches; corona places g's vertices first, followed by the copies
+of h in order.  All n1*n2-vertex products label the composite vertex
+(u, v) as u * n2 + v, which is exactly the Kronecker-product block layout.
+Each of the six is a sum of signed Kronecker terms c * X (x) Y in
+KRONECKER_TERMS, with X one of g's adjacency A, the identity I or the
+all-ones J, and Y one of h's B, I or J.  That sum has 0/1 entries, so the
+composite is the XOR of the odd-coefficient terms' np.krons, with one term
+alive at a time.  The degree rows sum the same terms with each factor
+replaced by its row sums, since X (x) Y has row sum x(u) * y(v) at (u, v):
+d_g or d_h for A and B, 1 for I, and n1 or n2 for J.  product_degree_rows
+gives the composites' degree sequences from the operands' degrees alone,
+one operand pair per row; it is the one way to get a composite's degree
+sequence without building the composite.
 """
 
 from __future__ import annotations
 
-from enum import Enum
+from enum import Enum, EnumMeta
 
 import numpy as np
 
-from .errors import InputError
-from .graph import Graph
+from .errors import InputError, _show
+from .graph import Graph, _from_lower
 
 
-class ProductKind(str, Enum):
+class _KindLookup(EnumMeta):
+    """ProductKind(value) looks the value up itself, and for a value no
+    kind has raises one InputError that shows it by errors._show.  Enum's
+    own lookup formats repr(value) first, which raises a ValueError of its
+    own for an int past 4300 digits."""
+
+    def __call__(cls, value, *args, **kwargs):
+        if args or kwargs:
+            return super().__call__(value, *args, **kwargs)
+        try:
+            return cls._value2member_map_[value]
+        except (KeyError, TypeError):  # TypeError: unhashable, so no kind's value
+            raise InputError(f"unknown product kind {_show(value)}") from None
+
+
+class ProductKind(str, Enum, metaclass=_KindLookup):
     JOIN = "join"
     LEXICOGRAPHIC = "lexicographic"
     CARTESIAN = "cartesian"
@@ -37,10 +53,6 @@ class ProductKind(str, Enum):
     CORONA = "corona"
     DISJUNCTION = "disjunction"
     SYMDIFF = "symdiff"
-
-    @classmethod
-    def _missing_(cls, value):
-        raise InputError(f"unknown product kind {value!r}")
 
 
 # (c, X, Y) for each term c * X (x) Y (Hammack, Imrich & Klavzar, Handbook
@@ -81,7 +93,10 @@ def apply_product(kind: ProductKind, g: Graph, h: Graph) -> Graph:
     n1 + i*n2 .. n1 + (i+1)*n2 - 1.  A Kronecker kind's signed sum has 0/1
     entries, so each entry is its own parity: the sum is the XOR of the
     terms with odd coefficients, each term and its factors built when it
-    is reached and dropped before the next.
+    is reached and dropped before the next.  Every such term has A or B as
+    a factor, and join's and corona's blocks keep the operands' empty
+    diagonals, so the composite is symmetric with an empty diagonal and
+    goes to _from_lower unchecked.
     """
     kind = ProductKind(kind)
     n1, n2, n = g.n, h.n, composite_order(kind, g.n, h.n)
@@ -98,7 +113,7 @@ def apply_product(kind: ProductKind, g: Graph, h: Graph) -> Graph:
     else:
         for x, y in [(x, y) for c, x, y in KRONECKER_TERMS[kind] if c % 2]:
             adj ^= np.kron(_factor(g.adjacency, x), _factor(h.adjacency, y))
-    return Graph(adj)
+    return _from_lower(adj)
 
 
 def product_degree_rows(kind: ProductKind, dg: np.ndarray, dh: np.ndarray) -> np.ndarray:

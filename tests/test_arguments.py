@@ -2,6 +2,8 @@
 gives the result of the int it equals, and a value that is not an integer
 raises one InputError whose message names the argument."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from totirr import (
 )
 from totirr.errors import integer
 from totirr.families import tree_from_pruefer
-from totirr.formats import check_graph6_size, graph_from_bits
+from totirr.formats import check_graph6_size, graph_from_bits, parse_edge_list
 
 
 def probe(n1=4, n2=4, samples=1000, seed=1729):
@@ -118,6 +120,13 @@ def test_integers_pass_as_python_ints(value, expected):
         lambda: graph_from_code(100, -1),
         lambda: check_graph6_size(10**5000),
         lambda: tree_from_pruefer(10**5000, []),
+        # a value shown by its repr: a tuple's and a Fraction's raise here
+        lambda: from_edge_list(3, [(10**5000, 1)]),
+        lambda: ProductKind(10**5000),
+        lambda: integer(Fraction(10**5000), "n", 1),
+        # an edge-list field past 4300 digits is never read as an int
+        lambda: parse_edge_list("n " + "9" * 4301),
+        lambda: parse_edge_list("n 3\n0 " + "9" * 4301),
     ],
     ids=[
         "integer",
@@ -127,6 +136,11 @@ def test_integers_pass_as_python_ints(value, expected):
         "graph_from_code-100",
         "check_graph6_size",
         "tree_from_pruefer",
+        "from_edge_list",
+        "ProductKind",
+        "integer-Fraction",
+        "parse_edge_list-count",
+        "parse_edge_list-endpoint",
     ],
 )
 def test_long_integers_are_shown_by_bit_length(call):

@@ -394,6 +394,17 @@ def test_gen_multipartite():
 INPUT_ERRORS = [
     (["compute"], "~@?@\n", "vertex count 4097 exceeds supported maximum 4096 (byte offset 0)"),
     (["compute", "--format", "edgelist"], "n 0\n", "vertex count must be >= 1, got 0 (line 1)"),
+    # two more edge-list rows, told apart in their ids by an explicit --input
+    (
+        ["compute", "--format", "edgelist", "--input", "-"],
+        "n " + "9" * 4301 + "\n",
+        "vertex count of 4301 digits exceeds supported maximum 4096 (line 1)",
+    ),
+    (
+        ["compute", "--input", "-", "--format", "edgelist"],
+        "n 3\n0 " + "9" * 4301 + "\n",
+        "endpoint outside [0, 2] in '0 9999999999...9999999999999' (line 2)",
+    ),
     (["compute", "--indices", ","], "", "no indices requested"),
     (["gen", "multipartite"], "", "multipartite needs at least one part size"),
     (["gen", "empty", "0"], "", "n must be an integer >= 1, got 0"),

@@ -1,3 +1,5 @@
+import functools
+import math
 import pickle
 import random
 
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from totirr import (
     Graph,
     InputError,
+    ProductKind,
+    apply_product,
     complement,
     from_edge_list,
     gen_complete,
@@ -154,10 +158,25 @@ class TestConstruction:
         assert np.array_equal(g.adjacency, g.adjacency.T)
 
 
-# the package's builders write one triangle, and graph._from_lower completes
-# it in tiles of SYMMETRY_TILE = 256 and keeps it with no copy and no check;
-# these sizes fall inside one tile, at its edge and across several
+# the package's builders write one triangle, or apply_product a symmetric
+# composite, and graph._from_lower completes it in tiles of
+# SYMMETRY_TILE = 256 and keeps it with no copy and no check; these sizes
+# fall inside one tile, at its edge and across several
 RULE_SIZES = [1, 2, 7, 255, 256, 257, 513]
+
+
+def product_near(kind, n):
+    """apply_product(kind) of two seeded random graphs on a and b vertices,
+    whose composite order, a + b for join, a * b for a Kronecker kind and
+    a * (b + 1) for corona, is n or just above it."""
+    if kind is ProductKind.JOIN:
+        a, b = max(n // 2, 1), max(n - n // 2, 1)
+    else:
+        a = math.isqrt(n)
+        b = max(-(-n // a) - (kind is ProductKind.CORONA), 1)
+    rng = random.Random(n)
+    return apply_product(kind, random_graph(a, rng), random_graph(b, rng))
+
 
 BUILDERS = {
     "empty": gen_empty,
@@ -175,6 +194,7 @@ BUILDERS = {
     "parse_edge_list": lambda n: parse_edge_list(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in random_edges(n))),
     "complement": lambda n: complement(random_graph(n, random.Random(n))),
     "complement-of-empty": lambda n: complement(gen_empty(n)),
+    **{f"op-{kind.value}": functools.partial(product_near, kind) for kind in ProductKind},
 }
 
 

@@ -167,10 +167,9 @@ def test_unknown_kind_is_an_input_error(call):
 @pytest.mark.parametrize("kind", list(KRONECKER_TERMS))
 def test_builder_memory_is_one_term(kind):
     """apply_product's peak in composite matrices (N^2 bytes): the output
-    and one np.kron term, then Graph's copy; a large operand's I or J
-    factor adds one more.  Building every factor of both operands up
-    front, or keeping the last term alive through Graph's copy, reads 3
-    and 5."""
+    and one np.kron term, and _from_lower keeps the output with no copy; a
+    large operand's I or J factor adds one more.  Building every factor of
+    both operands up front reads 4 with the 1024-vertex operand."""
     big = gen_extremal_total_irr(1024)
     for g, h, limit in [
         (gen_extremal_total_irr(32), gen_path(32), 2.5),
