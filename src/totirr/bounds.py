@@ -16,7 +16,7 @@ FalsificationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
@@ -185,15 +185,16 @@ class BoundScan:
     bounds.  Each extremum keeps the position of the first pair attaining
     it, its two pools and row indices, so a scan in pair-index order
     keeps the lowest index on ties, however its rows are batched.
-    `slack_pair` and `ratio_pair` decode that pair when read.
+    `slack_pair` and `ratio_pair` decode that pair when read.  A scan is
+    made from its kind alone: the count and the extrema start empty.
     """
 
     kind: ProductKind
-    checked: int = 0
-    min_slack: Optional[int] = None
-    max_ratio: Optional[Fraction] = None
-    _slack_at: Optional[Tuple[Operands, int, Operands, int]] = None
-    _ratio_at: Optional[Tuple[Operands, int, Operands, int]] = None
+    checked: int = field(default=0, init=False)
+    min_slack: Optional[int] = field(default=None, init=False)
+    max_ratio: Optional[Fraction] = field(default=None, init=False)
+    _slack_at: Optional[Tuple[Operands, int, Operands, int]] = field(default=None, init=False)
+    _ratio_at: Optional[Tuple[Operands, int, Operands, int]] = field(default=None, init=False)
 
     def __post_init__(self):
         self.kind = ProductKind(self.kind)

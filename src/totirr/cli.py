@@ -55,7 +55,8 @@ INDEX_FUNCS = {
     "cs": collatz_sinogowitz,
 }
 
-# gen's families in usage order; multipartite takes the part sizes, the rest one n
+# gen's families in usage order; multipartite takes the part sizes, the rest
+# one n; only tree takes --seed, 0 when it is not given
 FAMILIES = {
     "path": lambda params, seed: gen_path(params[0]),
     "cycle": lambda params, seed: gen_cycle(params[0]),
@@ -64,7 +65,7 @@ FAMILIES = {
     "empty": lambda params, seed: gen_empty(params[0]),
     "multipartite": lambda params, seed: gen_complete_multipartite(params),
     "extremal": lambda params, seed: gen_extremal_total_irr(params[0]),
-    "tree": lambda params, seed: gen_random_tree(params[0], seed),
+    "tree": lambda params, seed: gen_random_tree(params[0], 0 if seed is None else seed),
 }
 
 PRODUCT_TAGS = [k.value for k in ProductKind]
@@ -100,7 +101,7 @@ def _build_parser() -> _Parser:
     p_gen.set_defaults(run=_cmd_gen)
     p_gen.add_argument("family", choices=list(FAMILIES))
     p_gen.add_argument("params", nargs="*", type=int, help="family parameters")
-    p_gen.add_argument("--seed", type=int, default=0, help="seed for tree generation")
+    p_gen.add_argument("--seed", type=int, help="seed for tree generation (tree only; default 0)")
 
     p_op = sub.add_parser("op", help="apply a binary operation to two graph6 graphs")
     p_op.set_defaults(run=_cmd_op)
@@ -190,6 +191,8 @@ def _cmd_compute(args, out) -> None:
 
 def _cmd_gen(args, out) -> None:
     family, params = args.family, args.params
+    if args.seed is not None and family != "tree":
+        raise InputError(f"gen {family} does not take --seed (tree only)")
     if family == "multipartite":
         if not params:
             raise InputError("multipartite needs at least one part size")

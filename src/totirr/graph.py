@@ -22,8 +22,8 @@ from .errors import InputError, _show, integer
 # side of the square tiles in which _is_symmetric compares a matrix with its
 # transpose and _from_lower completes a builder's lower triangle: a tile
 # and its mirror stay in cache, where a whole-matrix transpose of a large
-# graph is a strided pass through memory.  The edge indices in `indices`
-# pass the adjacency in row tiles of the same height.
+# graph is a strided pass through memory.  indices.irregularity passes the
+# adjacency in row tiles of the same height.
 SYMMETRY_TILE = 256
 
 
@@ -46,6 +46,7 @@ class Graph:
 
     Instances are immutable after construction and safe to share across
     threads or processes.  Graph(adjacency) copies the array and checks
+    that it holds bools, or integers or floats that are all 0 or 1, and
     that it is square, nonempty, loop-free and symmetric: it is for arrays
     from outside the package and for unpickling; the package's own
     builders end in _from_lower.
@@ -54,7 +55,16 @@ class Graph:
     __slots__ = ("_adj", "_m", "_degrees")
 
     def __init__(self, adjacency: np.ndarray):
-        adj = np.array(adjacency, dtype=bool)
+        # only non-bool input has its values checked, so unpickling (which
+        # passes a bool array) pays nothing for it
+        try:
+            given = np.asarray(adjacency)
+            ok = given.dtype == bool or given.dtype.kind in "iuf" and np.isin(given, (0, 1)).all()
+        except ValueError:  # ragged nested sequences
+            ok = False
+        if not ok:
+            raise InputError("adjacency must hold bools, or integers or floats that are all 0 or 1")
+        adj = np.array(given, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise InputError(f"adjacency must be square, got shape {adj.shape}")
         n = adj.shape[0]

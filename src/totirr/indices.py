@@ -1,25 +1,26 @@
 """Degree-based irregularity indices.
 
 Integer-valued indices (total irregularity, Albertson irregularity, both
-Zagreb indices) are exact, and none builds a list of edges; the two edge
-sums pass over the adjacency in row tiles of graph.SYMMETRY_TILE rows.
+Zagreb indices) are exact in integers, and none builds a list of edges.
 
 - Albertson irregularity: rank the vertices by a stable argsort of the
   degrees and let L_u count u's neighbours of lower rank.  Each edge then
   counts once as +d at its higher-ranked end and once as -d at the other,
   and tied degrees cancel, so irr = sum_u d_u (L_u - (d_u - L_u))
-  = 2 d.L - d.d in int64.
-- Second Zagreb index: d^T (A d) / 2.  Each tile's A d is a float64 matvec
-  whose entries are integers below n^2 (exact in float64 far beyond the
-  cap); it is cast to int64 before its dot with d.
+  = 2 d.L - d.d in int64, with L counted over row tiles of
+  graph.SYMMETRY_TILE rows.
+- Second Zagreb index: d^T (A d) / 2, with A d one int64 einsum over the
+  boolean adjacency, which numpy casts in small buffers, so no copy of A
+  is made; each entry of A d is below n^2.
 
-Every int64 sum above is below n^4/2, which int64 holds for n < 65 536,
-far above the graph6 cap of 4096 vertices.  Degree variance (one
-division of exact ints, so correctly rounded) and the Collatz-Sinogowitz
-index are the only floats.  The largest eigenvalue behind the latter is
-certified by a Collatz-Wielandt bracket on a power iteration, O(n^2) per
-step, and comes from the O(n^3) dense eigensolver only when the bracket
-does not close (see spectral_radius).
+Every int64 sum above is below n^4 (d^T A d is at most n (n - 1)^3),
+which int64 holds for n < 55 000, far above the graph6 cap of 4096
+vertices.  Degree variance (one division of exact ints, so correctly
+rounded) and the Collatz-Sinogowitz index are the only floats.  The
+largest eigenvalue behind the latter is certified by a Collatz-Wielandt
+bracket on a power iteration, O(n^2) per step, and comes from the O(n^3)
+dense eigensolver only when the bracket does not close (see
+spectral_radius), whose float64 copy of A is the only one in the package.
 """
 
 from __future__ import annotations
@@ -89,20 +90,9 @@ def zagreb_m1(g: Graph) -> int:
 
 def zagreb_m2(g: Graph) -> int:
     """Second Zagreb index: sum of d(u)*d(v) over edges, as d^T (A d) / 2
-    (each edge counted from both ends).
-
-    A d is a float64 matvec per row tile, exact because its entries are
-    integers below n^2; it is cast to int64 before the dot with d, so the
-    sum is exact in int64.
-    """
+    (each edge counted from both ends), in int64 throughout."""
     deg = np.array(g.degrees(), dtype=np.int64)
-    fdeg = deg.astype(np.float64)
-    t = SYMMETRY_TILE
-    total = sum(
-        int((g.adjacency[lo : lo + t].astype(np.float64) @ fdeg).astype(np.int64) @ deg[lo : lo + t])
-        for lo in range(0, g.n, t)
-    )
-    return total // 2
+    return int(deg @ np.einsum("ij,j->i", g.adjacency, deg)) // 2
 
 
 def degree_variance(g: Graph) -> float:

@@ -467,6 +467,14 @@ def test_string_kind_scores_like_its_enum(kind):
     assert reduced[0] == reduced[1]
 
 
+@pytest.mark.parametrize("state", ["checked", "min_slack", "max_ratio", "_slack_at", "_ratio_at"])
+def test_scan_takes_only_its_kind(state):
+    # the count and the extrema are the scan's own state, never given
+    with pytest.raises(TypeError):
+        BoundScan("join", **{state: 1})
+    assert getattr(BoundScan("join"), state) == (0 if state == "checked" else None)
+
+
 def row_scan(kind, g, a, h, b, batch):
     scan = BoundScan(kind)
     for lo in range(0, len(a), batch):

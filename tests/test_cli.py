@@ -412,6 +412,9 @@ INPUT_ERRORS = [
     (["gen", "path", "0"], "", "l must be an integer >= 1, got 0"),
     (["gen", "star", "0"], "", "n must be an integer >= 1, got 0"),
     (["gen", "tree", "0"], "", "n must be an integer >= 1, got 0"),
+    # checked before anything is built, so a bad size gives the same line
+    (["gen", "path", "4", "--seed", "5"], "", "gen path does not take --seed (tree only)"),
+    (["gen", "multipartite", "0", "--seed", "9"], "", "gen multipartite does not take --seed (tree only)"),
     (
         ["search", "probe", "--op", "symdiff", "--n1", "4", "--n2", "4", "--samples", "-1", "--seed", "1"],
         "",

@@ -33,6 +33,8 @@ from totirr.formats import graph_from_bits
 
 from conftest import disjoint_union, random_graph
 
+NOT_01 = "adjacency must hold bools, or integers or floats that are all 0 or 1"
+
 
 def edge_set_strategy(max_n=10):
     return st.integers(2, max_n).flatmap(
@@ -130,12 +132,28 @@ class TestConstruction:
             (np.zeros(4, dtype=bool), r"adjacency must be square, got shape \(4,\)"),
             (np.zeros((0, 0), dtype=bool), "graphs must have at least one vertex"),
             (np.eye(3, dtype=bool), "self-loop at vertex 0"),
+            ([[0, 1], [1]], NOT_01),
+            ([[0, 2], [2, 0]], NOT_01),
+            ([[0, -1], [-1, 0]], NOT_01),
+            ([[0, 0.25], [0.25, 0]], NOT_01),
+            ([[math.nan, 1], [1, math.nan]], NOT_01),
+            ([["0", "1"], ["1", "0"]], NOT_01),
+            (np.array([[0, 1j], [1j, 0]]), NOT_01),
+            ([[None, 1], [1, None]], NOT_01),
         ],
-        ids=["2x3", "vector", "0x0", "identity"],
+        ids=["2x3", "vector", "0x0", "identity", "ragged", "2", "-1", "quarter", "nan", "string", "complex", "object"],
     )
     def test_bad_adjacency_rejected(self, adj, message):
         with pytest.raises(InputError, match=message):
             Graph(adj)
+
+    @pytest.mark.parametrize(
+        "adj",
+        [[[0, 1], [1, 0]], [[0.0, 1.0], [1.0, 0.0]], np.array([[0, 1], [1, 0]], dtype=np.uint8)],
+        ids=["int", "float", "uint8"],
+    )
+    def test_numeric_0_1_adjacency_accepted(self, adj):
+        assert Graph(adj) == gen_path(2)
 
     def test_adjacency_is_read_only(self):
         g = gen_path(3)

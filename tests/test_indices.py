@@ -27,6 +27,7 @@ from totirr import (
     zagreb_m1,
     zagreb_m2,
 )
+from totirr.formats import graph_from_bits
 from totirr.indices import total_irregularity_rows
 
 from conftest import (
@@ -35,6 +36,7 @@ from conftest import (
     labeled_graphs,
     random_graph,
     total_irregularity_naive,
+    traced_peak,
     zagreb_m1_edge_form,
 )
 
@@ -176,9 +178,9 @@ class TestEdgeIndicesAgainstEdgeLoop:
             g = random_graph(rng.randint(1, 40), rng)
             assert (irregularity(g), zagreb_m2(g), zagreb_m1_edge_form(g)) == edge_loop_indices(g)
 
-    # the kernels pass the adjacency in row tiles of SYMMETRY_TILE = 256
+    # irregularity passes the adjacency in row tiles of SYMMETRY_TILE = 256
     # rows: one tile short of full, one full, one plus a 1-row tile, two
-    # plus a 1-row tile
+    # plus a 1-row tile (zagreb_m2 has no tiles; it is checked here too)
     @pytest.mark.parametrize("n", [255, 256, 257, 513])
     def test_across_tiles(self, n, rng):
         for name, g in tie_heavy_graphs(n, rng).items():
@@ -198,6 +200,23 @@ class TestEdgeIndicesClosedFormsAtCap:
         g = gen_complete(self.N)
         assert irregularity(g) == 0
         assert zagreb_m2(g) == math.comb(self.N, 2) * (self.N - 1) ** 2 == 140_634_434_304_000
+
+    def test_cycle(self):
+        g = gen_cycle(self.N)
+        assert irregularity(g) == 0
+        assert zagreb_m2(g) == 4 * self.N
+
+    def test_balanced_complete_bipartite(self):
+        # 2048^2 edges of degree product 2048^2
+        g = gen_complete_multipartite([self.N // 2, self.N // 2])
+        assert irregularity(g) == 0
+        assert zagreb_m2(g) == (self.N // 2) ** 4 == 17_592_186_044_416
+
+    def test_m2_makes_no_copy_of_the_adjacency(self):
+        # one int64 einsum over the bool adjacency, cast in small buffers:
+        # no copy of the 16 MB matrix, nor of an 8 MB float64 row tile
+        g = graph_from_bits(self.N, np.random.default_rng(7).random(self.N * (self.N - 1) // 2) < 0.5)
+        assert traced_peak(lambda: zagreb_m2(g)) < 1e6
 
 
 class TestDegreeVariance:
